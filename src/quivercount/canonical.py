@@ -9,7 +9,10 @@ whose lower matrix triangle, read row by row, is lexicographically least.
 The signed entries act directly as edge colors, so directed multiple arrows
 need no gadget expansion.  Vertices with identical matrix rows are
 interchangeable by an automorphism and are collapsed to one search branch,
-which keeps degenerate highly symmetric inputs from exploding.
+which keeps degenerate highly symmetric inputs from exploding.  When
+refinement already gives every vertex its own color, the ordering is forced
+and the search is skipped; this is the common case for quivers met during
+class enumeration, and the key bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -19,25 +22,48 @@ from typing import Sequence
 from quivercount.quiver import ExchangeQuiver
 
 
-def _refine(b: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
+def _refine(adj: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
     """Stable coloring refining ``colors`` by neighbor (color, entry) multisets.
 
-    The returned color values are ranks of sorted signatures, hence equal
-    for corresponding vertices of isomorphic quivers.
+    ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry.  The
+    returned color values are ranks of sorted signatures, hence equal for
+    corresponding vertices of isomorphic quivers.  A discrete coloring is
+    returned as soon as it appears: another round would rank it unchanged.
     """
-    n = len(b)
+    n = len(adj)
     ncell = len(set(colors))
+    if ncell == 1:
+        # one cell: the signatures sort as the row entry multisets alone
+        sigs = [tuple(sorted([e for _, e in nbrs])) for nbrs in adj]
+    else:
+        sigs = _signatures(adj, colors)
     while True:
-        sigs = []
-        for v in range(n):
-            row = b[v]
-            adj = sorted((colors[u], row[u]) for u in range(n) if row[u])
-            sigs.append((colors[v], tuple(adj)))
         rank = {s: c for c, s in enumerate(sorted(set(sigs)))}
         colors = [rank[s] for s in sigs]
-        if len(rank) == ncell:
+        if len(rank) == ncell or len(rank) == n:
             return colors
         ncell = len(rank)
+        sigs = _signatures(adj, colors)
+
+
+def _signatures(adj, colors):
+    """Each vertex's color with the sorted (color, entry) pairs of its arrows."""
+    return [
+        (colors[v], tuple(sorted([(colors[u], e) for u, e in nbrs])))
+        for v, nbrs in enumerate(adj)
+    ]
+
+
+def _forced_labeling(b, colors):
+    """``flat`` of the only ordering a discrete coloring admits.
+
+    Color ``c`` takes position ``c``; this is what :func:`_min_labeling`
+    returns for such a coloring, without its search.
+    """
+    order = [0] * len(colors)
+    for v, c in enumerate(colors):
+        order[c] = v
+    return [b[v][u] for p, v in enumerate(order) for u in order[:p]]
 
 
 def _min_labeling(b, colors):
@@ -111,8 +137,14 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
             raise ValueError("colors must assign one class per vertex")
     if n == 0:
         return b"0||"
-    refined = _refine(q.b, init)
-    flat, slots = _min_labeling(q.b, refined)
+    b = q.b
+    adj = [[(u, e) for u, e in enumerate(row) if e] for row in b]
+    refined = _refine(adj, init)
+    if len(set(refined)) == n:
+        slots = range(n)
+        flat = _forced_labeling(b, refined)
+    else:
+        flat, slots = _min_labeling(b, refined)
     return "{}|{}|{}".format(
         n, ",".join(map(str, slots)), ",".join(map(str, flat))
     ).encode("ascii")

@@ -190,7 +190,8 @@ def run(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (QuiverFormatError, FileNotFoundError, ValueError) as exc:
+    except (QuiverFormatError, OSError, ValueError) as exc:
+        # OSError covers missing, directory and unreadable paths
         return _usage(str(exc))
 
 

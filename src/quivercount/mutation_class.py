@@ -6,6 +6,14 @@ canonical key.  The targeted classes (type A, D and the annular type built
 on a non-oriented cycle) are finite with arrow multiplicities at most 2, so
 the walk terminates; anything that drives a multiplicity above the cap
 aborts loudly instead of silently corrupting the count.
+
+Three shortcuts keep the walk from canonicalizing what it already knows,
+without changing its members, depths or stored representatives.  Mutation
+is an involution, so a member is never mutated back along the vertex that
+discovered it.  A mutated matrix equal to a stored member's matrix (as
+around commuting squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is
+skipped before its key is computed.  And since a member is within the cap,
+only the entries a mutation changed are checked against it.
 """
 
 from __future__ import annotations
@@ -83,20 +91,48 @@ def enumerate_class(
     key0 = canonical_key(seed)
     members = {key0: seed}
     depths = {key0: 0}
-    queue: deque[tuple[ExchangeQuiver, int]] = deque([(seed, 0)])
+    known = {seed.b}  # matrices of the stored members, shared, not copied
+    # queue entries carry the vertex whose mutation discovered the member
+    queue: deque[tuple[ExchangeQuiver, int, int]] = deque([(seed, 0, -1)])
     while queue:
-        q, d = queue.popleft()
+        q, d, back = queue.popleft()
         for k in range(q.n):
+            if k == back:
+                continue  # mutation is an involution: this is the parent
             q2 = mutate(q, k)
-            m = max_multiplicity(q2)
+            m = _changed_multiplicity(q.b[k], q2.b)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap)
+            if q2.b in known:
+                continue
             key = canonical_key(q2)
             if key not in members:
                 members[key] = q2
                 depths[key] = d + 1
-                queue.append((q2, d + 1))
+                known.add(q2.b)
+                queue.append((q2, d + 1, k))
     return MutationClass(seed, members, depths)
+
+
+def _changed_multiplicity(bk, b2) -> int:
+    """Largest multiplicity among the entries a mutation at k changed.
+
+    ``bk`` is row k before the mutation and ``b2`` the mutated matrix.
+    Only entries (i, j) with i -> k -> j change in absolute value, so when
+    the parent is within the cap, the cap is exceeded exactly when this
+    value exceeds it, and then it equals the largest multiplicity overall.
+    """
+    outs = [j for j, x in enumerate(bk) if x > 0]
+    m = 0
+    if outs:
+        for i, x in enumerate(bk):
+            if x < 0:
+                row = b2[i]
+                for j in outs:
+                    a = abs(row[j])
+                    if a > m:
+                        m = a
+    return m
 
 
 def seed_cycle(r: int, s: int) -> ExchangeQuiver:

@@ -34,6 +34,18 @@ class ExchangeQuiver:
                 if row[j] != -self.b[j][i]:
                     raise ValueError("exchange matrix must be skew-symmetric")
 
+    @classmethod
+    def _trusted(cls, b: tuple[tuple[int, ...], ...]) -> "ExchangeQuiver":
+        """Wrap a matrix already known to be a valid exchange matrix, unchecked.
+
+        Mutation builds its result this way: mutating a valid exchange
+        matrix gives a valid one, so the square, zero-diagonal and
+        skew-symmetry checks of ``__post_init__`` would find nothing.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "b", b)
+        return q
+
     @property
     def n(self) -> int:
         """Number of vertices (labelled 0..n-1)."""
@@ -91,22 +103,20 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     rows = []
     for i in range(n):
         bi = b[i]
+        bik = bi[k]
         if i == k:
             rows.append(tuple(-x for x in bi))
-            continue
-        bik = bi[k]
-        row = list(bi)
-        row[k] = -bik
-        if bik:
-            abik = abs(bik)
+        elif not bik:
+            rows.append(bi)  # rows away from k are unchanged and shared
+        else:
+            row = list(bi)
+            row[k] = -bik
             for j in range(n):
-                if j == k:
-                    continue
                 bkj = bk[j]
-                if bkj:
-                    row[j] = bi[j] + (abik * bkj + bik * abs(bkj)) // 2
-        rows.append(tuple(row))
-    return ExchangeQuiver(tuple(rows))
+                if bik * bkj > 0:  # a two-path i -> k -> j or j -> k -> i
+                    row[j] += bik * abs(bkj)
+            rows.append(tuple(row))
+    return ExchangeQuiver._trusted(tuple(rows))
 
 
 def relabel(q: ExchangeQuiver, perm: Sequence[int]) -> ExchangeQuiver:

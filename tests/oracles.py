@@ -2,16 +2,19 @@
 
 Each oracle deliberately recomputes its answer along a different route from
 the code under test: mutation on explicit arrow lists instead of the matrix
-update, isomorphism by trying every vertex bijection, and necklace counts by
-brute rotation.
+update, isomorphism by trying every vertex bijection, class enumeration with
+no shortcuts, and necklace counts by brute rotation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from quivercount.quiver import ExchangeQuiver
+from quivercount.canonical import canonical_key
+from quivercount.mutation_class import CapExceeded, MutationClass
+from quivercount.quiver import ExchangeQuiver, max_multiplicity
 
 
 def mutate_arrow_list(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
@@ -55,6 +58,36 @@ def brute_force_isomorphic(q1: ExchangeQuiver, q2: ExchangeQuiver) -> bool:
         ):
             return True
     return False
+
+
+def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> MutationClass:
+    """Breadth-first mutation class with no shortcuts.
+
+    Every member is mutated at every vertex, parent edge included; each
+    result is validated on construction, scanned in full for the cap and
+    canonicalized.  Vertex order and tie-breaking follow ``enumerate_class``,
+    so members, depths and stored representatives must match it exactly.
+    """
+    m0 = max_multiplicity(seed)
+    if m0 > multiplicity_cap:
+        raise CapExceeded(m0, multiplicity_cap)
+    key0 = canonical_key(seed)
+    members = {key0: seed}
+    depths = {key0: 0}
+    queue = deque([(seed, 0)])
+    while queue:
+        q, d = queue.popleft()
+        for k in range(q.n):
+            q2 = mutate_arrow_list(q, k)
+            m = max_multiplicity(q2)
+            if m > multiplicity_cap:
+                raise CapExceeded(m, multiplicity_cap)
+            key = canonical_key(q2)
+            if key not in members:
+                members[key] = q2
+                depths[key] = d + 1
+                queue.append((q2, d + 1))
+    return MutationClass(seed, members, depths)
 
 
 def necklace_count(length: int, ones: int) -> int:

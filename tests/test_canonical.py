@@ -1,13 +1,60 @@
 import itertools
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_isomorphic, random_quiver
-from quivercount.canonical import are_isomorphic, canonical_key
+from quivercount.canonical import (
+    _forced_labeling,
+    _min_labeling,
+    _refine,
+    are_isomorphic,
+    canonical_key,
+)
+from quivercount.mutation_class import seed_cycle, seed_dynkin_d
 from quivercount.quiver import ExchangeQuiver, relabel
 from test_quiver import quivers
+
+# Key bytes appear in `enumerate --json`, so they are pinned literally.
+PINNED_KEYS = [
+    pytest.param(
+        seed_cycle(2, 3), None, b"5|0,1,2,3,4|1,1,0,0,1,0,0,0,1,1", id="atilde-2-3"
+    ),
+    pytest.param(
+        seed_dynkin_d(5), None, b"5|0,1,2,3,3|0,1,-1,0,1,0,0,1,0,0", id="dynkin-d-5"
+    ),
+    # refinement leaves one cell of four: the search decides
+    pytest.param(
+        ExchangeQuiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        None,
+        b"4|0,0,0,0|-1,0,-1,1,0,-1",
+        id="oriented-4-cycle",
+    ),
+    pytest.param(
+        ExchangeQuiver.from_arrows(
+            5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]
+        ),
+        [1, 0, 0, 0, 0],
+        b"5|0,1,2,3,4|-1,1,-1,1,0,0,-1,0,0,1",
+        id="rooted-bowtie",
+    ),
+]
+
+
+@pytest.mark.parametrize("q, colors, key", PINNED_KEYS)
+def test_pinned_key_bytes(q, colors, key):
+    assert canonical_key(q, colors) == key
+
+
+@given(quivers(max_n=7))
+@settings(max_examples=200, deadline=None)
+def test_forced_labeling_matches_search_on_discrete_colorings(q):
+    adj = [[(u, e) for u, e in enumerate(row) if e] for row in q.b]
+    colors = _refine(adj, [0] * q.n)
+    assume(len(set(colors)) == q.n)
+    assert _forced_labeling(q.b, colors) == _min_labeling(q.b, colors)[0]
 
 
 def test_relabeled_paths_share_a_key():

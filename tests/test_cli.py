@@ -145,6 +145,12 @@ def test_classify_missing_file(capsys, tmp_path):
     assert run(["classify", "--file", str(tmp_path / "absent.quiver")]) == 2
 
 
+@pytest.mark.parametrize("command", [["classify", "--file"], ["enumerate", "--seed"]])
+def test_directory_path_is_a_usage_error(capsys, tmp_path, command):
+    assert run(command + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_small_run_passes(capsys):
     assert run(["verify", "--n-max", "4", "--degree", "6"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import reference_enumerate
 from quivercount.canonical import canonical_key
 from quivercount.mutation_class import (
     CapExceeded,
@@ -12,7 +13,13 @@ from quivercount.mutation_class import (
     write_class_dir,
     write_class_json,
 )
-from quivercount.quiver import ExchangeQuiver, max_multiplicity, mutate, read_quiver
+from quivercount.quiver import (
+    ExchangeQuiver,
+    max_multiplicity,
+    mutate,
+    read_quiver,
+    relabel,
+)
 
 
 def test_seed_cycle_shapes():
@@ -102,10 +109,44 @@ def test_cap_exceeded_on_wild_seed():
 
 
 def test_cap_exceeded_during_walk():
-    # acyclic triangle with double arrows blows up under mutation
+    # acyclic triangle with double arrows blows up under mutation; the
+    # reported multiplicity is the largest in the offending quiver, whether
+    # the cap breaks on the first step or deeper in the walk
     q = ExchangeQuiver.from_arrows(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
-    with pytest.raises(CapExceeded):
-        enumerate_class(q)
+    for cap, multiplicity in [(2, 6), (3, 6), (5, 6), (6, 10), (10, 14)]:
+        with pytest.raises(CapExceeded) as info:
+            enumerate_class(q, multiplicity_cap=cap)
+        assert (info.value.multiplicity, info.value.cap) == (multiplicity, cap)
+
+
+def test_raised_cap_admits_seeds_within_it():
+    kronecker3 = ExchangeQuiver.from_arrows(2, [(0, 1, 3)])
+    assert enumerate_class(kronecker3, multiplicity_cap=3).size == 1
+    # a finite class never reaches the raised cap, so the walk is unchanged
+    capped = enumerate_class(seed_cycle(2, 3), multiplicity_cap=3)
+    plain = enumerate_class(seed_cycle(2, 3))
+    assert capped.members == plain.members
+    assert capped.depths == plain.depths
+
+
+def _reference_seeds():
+    for n in range(2, 8):
+        for r in range(1, n):
+            yield pytest.param(seed_cycle(r, n - r), id=f"atilde-{r}-{n - r}")
+    for n in (4, 5, 6):
+        yield pytest.param(seed_dynkin_d(n), id=f"dynkin-d-{n}")
+    relabelled = relabel(seed_cycle(2, 4), [3, 5, 0, 4, 1, 2])
+    yield pytest.param(relabelled, id="atilde-2-4-relabelled")
+
+
+@pytest.mark.parametrize("seed", list(_reference_seeds()))
+def test_enumeration_matches_reference_bfs(seed):
+    mc = enumerate_class(seed)
+    ref = reference_enumerate(seed)
+    # same members in the same discovery order, same depths and matrices
+    assert list(mc.members.items()) == list(ref.members.items())
+    assert mc.depths == ref.depths
+    assert mc.representatives() == ref.representatives()
 
 
 def test_disconnected_seed_rejected():
