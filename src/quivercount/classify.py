@@ -9,16 +9,17 @@ clockwise ones; counting plain arrows and oriented 3-cycles on each side
 gives the parameter quadruple (r1, r2, s1, s2).  Flipping the embedding
 swaps the two sides, so every quiver has at most two distinct realizations.
 
-Recognition here is deliberately direct: enumerate all chordless cycles of
-the underlying graph, demand exactly one non-oriented one, then parse each
-attachment against the recursive description of rooted type A quivers.  At
-the target scale (around 14 vertices) directness beats cleverness.
+Recognition here is deliberately direct: walk the chordless cycles of the
+underlying graph, stopping at a second non-oriented one, demand exactly
+one, then parse each attachment against the recursive description of
+rooted type A quivers.  At the target scale (around 14 vertices)
+directness beats cleverness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from quivercount.canonical import canonical_key
 from quivercount.quiver import (
@@ -61,7 +62,6 @@ class Attachment:
     """A rooted type A quiver hanging off one base arrow via a 3-cycle."""
 
     root: int
-    vertices: tuple[int, ...]
     plain_arrows: int
     cycle_count: int
     key: bytes  # canonical key of the rooted subquiver, root distinguished
@@ -158,16 +158,15 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
     return plain, cycles
 
 
-def _induced_cycles(q: ExchangeQuiver) -> list[tuple[int, ...]]:
-    """All chordless cycles of length >= 3 in the underlying graph.
+def _induced_cycles(q: ExchangeQuiver) -> Iterator[tuple[int, ...]]:
+    """Yield the chordless cycles of length >= 3 in the underlying graph.
 
     Each cycle is reported once, starting at its smallest vertex with the
-    smaller neighbor second.
+    smaller neighbor second.  A generator, so callers can stop early.
     """
     n = q.n
     b = q.b
     adj = [frozenset(j for j in range(n) if b[i][j]) for i in range(n)]
-    found = []
     for s in range(n):
         stack = [[s, u] for u in sorted(adj[s]) if u > s]
         while stack:
@@ -180,12 +179,11 @@ def _induced_cycles(q: ExchangeQuiver) -> list[tuple[int, ...]]:
                     # closing edge; extending would leave a chord to s
                     if len(path) >= 2 and path[1] < x:
                         if all(x not in adj[y] for y in path[1:-1]):
-                            found.append(tuple(path) + (x,))
+                            yield tuple(path) + (x,)
                     continue
                 if any(x in adj[y] for y in path[:-1]):
                     continue
                 stack.append(path + [x])
-    return found
 
 
 def _components(q: ExchangeQuiver, vertices) -> list[set[int]]:
@@ -229,13 +227,15 @@ def classify(q: ExchangeQuiver):
         return None
     b = q.b
 
-    doubles = [
-        (i, j)
+    # a double arrow is the degenerate non-oriented cycle of length 2
+    non_oriented: list[tuple[int, ...]] = [
+        (i, j) if b[i][j] > 0 else (j, i)
         for i in range(n)
         for j in range(i + 1, n)
         if abs(b[i][j]) == 2
     ]
-    non_oriented: list[tuple[int, ...]] = []
+    if len(non_oriented) > 1:
+        return None
     for cyc in _induced_cycles(q):
         m = len(cyc)
         signs = [b[cyc[t]][cyc[(t + 1) % m]] for t in range(m)]
@@ -244,10 +244,9 @@ def classify(q: ExchangeQuiver):
         if all(x > 0 for x in signs) or all(x < 0 for x in signs):
             continue  # oriented
         non_oriented.append(cyc)
-    for i, j in doubles:
-        # a double arrow is the degenerate non-oriented cycle of length 2
-        non_oriented.append((i, j) if b[i][j] > 0 else (j, i))
-    if len(non_oriented) != 1:
+        if len(non_oriented) > 1:
+            return None  # a second non-oriented cycle: no need to list the rest
+    if not non_oriented:
         return None
 
     cyc = non_oriented[0]
@@ -319,7 +318,6 @@ def classify(q: ExchangeQuiver):
         plain, cycles = parsed
         attachments[t] = Attachment(
             root=z,
-            vertices=tuple(sorted(comp)),
             plain_arrows=plain,
             cycle_count=cycles,
             key=_rooted_key(q, comp, z),

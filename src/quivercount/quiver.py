@@ -169,6 +169,11 @@ def max_multiplicity(q: ExchangeQuiver) -> int:
 # comment, whitespace separates fields.  The writer emits bundles sorted
 # lexicographically by (i, j).
 
+# Largest vertex count a file may declare: the reader builds the dense n x n
+# matrix before any arrow, so a one-line file could otherwise ask for any
+# amount of memory.  A million cells is far above every targeted family.
+MAX_VERTICES = 1000
+
 
 def dumps(q: ExchangeQuiver) -> str:
     lines = [str(q.n)]
@@ -193,6 +198,8 @@ def loads(text: str) -> ExchangeQuiver:
         raise QuiverFormatError(f"bad vertex count {rows[0][0]!r}") from exc
     if n < 0:
         raise QuiverFormatError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise QuiverFormatError(f"vertex count {n} exceeds the ceiling {MAX_VERTICES}")
     b = [[0] * n for _ in range(n)]
     for fields in rows[1:]:
         if len(fields) != 3:

@@ -143,19 +143,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = TruncatedSeries.constant(self.variables, self.degree, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- structural operations ----------------------------------------------
 
     def substitute(self, var: str, g: "TruncatedSeries") -> "TruncatedSeries":
@@ -280,33 +267,19 @@ def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     arrow (either way) to a rooted quiver, or the root on an oriented
     3-cycle with a rooted quiver at each of the other two vertices; that
     recursion reads A = 1 + 2 z A + z^2 t A^2, iterated here to the
-    truncation fixpoint.
+    truncation fixpoint.  Given one variable, the 3-cycle marker is set to
+    one: A = 1 + 2 z A + z^2 A^2, whose coefficients are the Catalan
+    numbers shifted by one.
     """
-    zvar, tvar = variables
+    zvar, *marker = variables
     one = TruncatedSeries.constant(variables, degree, 1)
     z = TruncatedSeries.monomial(variables, degree, **{zvar: 1})
-    z2t = TruncatedSeries.monomial(variables, degree, **{zvar: 2, tvar: 1})
+    z2t = TruncatedSeries.monomial(
+        variables, degree, **{zvar: 2}, **dict.fromkeys(marker, 1)
+    )
     a = one
     while True:
         nxt = one + 2 * (z * a) + z2t * (a * a)
-        if nxt == a:
-            return a
-        a = nxt
-
-
-def solve_catalan_shifted(degree: int, variable="z") -> TruncatedSeries:
-    """One-variable specialization of :func:`solve_a_point` at t = 1.
-
-    Satisfies A = 1 + 2 z A + z^2 A^2; the coefficients are the Catalan
-    numbers shifted by one.
-    """
-    variables = (variable,)
-    one = TruncatedSeries.constant(variables, degree, 1)
-    z = TruncatedSeries.monomial(variables, degree, **{variable: 1})
-    z2 = TruncatedSeries.monomial(variables, degree, **{variable: 2})
-    a = one
-    while True:
-        nxt = one + 2 * (z * a) + z2 * (a * a)
         if nxt == a:
             return a
         a = nxt
@@ -338,7 +311,7 @@ def b_series_at_unit(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSe
     :func:`b_series`, so it is exact at every stored degree.
     """
     p, q = variables[0], variables[1]
-    a1 = solve_catalan_shifted(degree, "z")
+    a1 = solve_a_point(degree, ("z",))
     ap = a1.embed(variables, {"z": p}, degree)
     aq = a1.embed(variables, {"z": q}, degree)
     P = TruncatedSeries.monomial(variables, degree, **{p: 1})

@@ -4,13 +4,29 @@ Every identity ties two independently implemented routes together: class
 sizes from the breadth-first enumerator against the closed forms, parameter
 censuses from the classifier against the refined counts, and power-series
 coefficients against the summation formulas.  No network, no external data.
+
+This module is the one place the cross-checks are written; the CLI's
+``verify`` command and the acceptance suite both run them.  Each family's
+range is one rule of the two scale parameters ``n_max`` and ``degree``
+(weights r <= s unless stated):
+
+- ``class-size-atilde-r-s``, ``parameter-census-r-s``, ``partition-r-s``:
+  r + s <= n_max
+- ``class-size-dynkin-d-n``: 4 <= n <= min(8, n_max)
+- ``symmetric-census-r``: r <= n_max // 2
+- ``marginalization-r-s``: r, s <= n_max - 2, in either order
+- ``series-*``: the five series identities at truncation degree ``degree``
+
+Enumerated classes and classifier censuses are memoised for the life of
+the process, so a class is enumerated and classified once however many
+checks and callers read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from quivercount import counting
 from quivercount.classify import classify, is_symmetric
@@ -24,25 +40,33 @@ from quivercount.series import (
     solve_a_point,
 )
 
-
-def _class_sizes(get_class, r, s):
-    mc = get_class(r, s)
-    expected = counting.a_tilde(r, s)
-    assert mc.size == expected, f"enumerated {mc.size}, formula says {expected}"
-
-
-def _dynkin_size(n):
-    mc = enumerate_class(seed_dynkin_d(n))
-    expected = counting.d_n_count(n)
-    assert mc.size == expected, f"enumerated {mc.size}, formula says {expected}"
+# Below these some family checks nothing: (1, 1) is the smallest annular
+# class, and the grid's first type D coefficient [q^3] needs 3 + 3 // 2.
+MIN_N_MAX = 2
+MIN_DEGREE = 4
 
 
-def _census(mc):
-    """Classifier sweep over a class: parameter, symmetry and realization data."""
+@cache
+def cycle_class(r: int, s: int):
+    """The enumerated class of the (r, s) cycle; shared, so never modify it."""
+    return enumerate_class(seed_cycle(r, s))
+
+
+@cache
+def dynkin_class(n: int):
+    """The enumerated type D class of rank ``n``, memoised like :func:`cycle_class`."""
+    return enumerate_class(seed_dynkin_d(n))
+
+
+@cache
+def _census(r: int, s: int):
+    """Classifier sweep over the (r, s) class: the census of first
+    realizations, of both realizations (one for a symmetric member), and
+    the number of symmetric members."""
     params = Counter()
     realizations = Counter()
     symmetric = 0
-    for q in mc.representatives():
+    for q in cycle_class(r, s).representatives():
         st = classify(q)
         assert st is not None, "class member fell outside the annular family"
         params[st.realization_1.as_tuple()] += 1
@@ -54,14 +78,31 @@ def _census(mc):
     return params, realizations, symmetric
 
 
-def _parameter_census(get_class, r, s):
-    mc = get_class(r, s)
-    params, realizations, symmetric = _census(mc)
+def _splits(r, s):
+    """Normalized parameter quadruples (r1, r2, s1, s2) of weights (r, s)."""
+    return {
+        counting.normalize_parameters(r1, r2, t1, t2)
+        for r1, r2 in counting.parameter_splits(r)
+        for t1, t2 in counting.parameter_splits(s)
+    }
 
-    splits = set()
-    for r1, r2 in counting.parameter_splits(r):
-        for t1, t2 in counting.parameter_splits(s):
-            splits.add(counting.normalize_parameters(r1, r2, t1, t2))
+
+def _class_sizes(r, s):
+    got = cycle_class(r, s).size
+    expected = counting.a_tilde(r, s)
+    assert got == expected, f"enumerated {got}, formula says {expected}"
+
+
+def _dynkin_size(n):
+    got = dynkin_class(n).size
+    expected = counting.d_n_count(n)
+    assert got == expected, f"enumerated {got}, formula says {expected}"
+
+
+def _parameter_census(r, s):
+    params, realizations, _ = _census(r, s)
+
+    splits = _splits(r, s)
     assert set(params) <= splits, f"unexpected parameters {set(params) - splits}"
     for split in sorted(splits):
         expected = counting.derived_class_count(*split)
@@ -87,9 +128,8 @@ def _parameter_census(get_class, r, s):
     )
 
 
-def _symmetric_census(get_class, r):
-    mc = get_class(r, r)
-    _, _, symmetric = _census(mc)
+def _symmetric_census(r):
+    symmetric = _census(r, r)[2]
     expected = counting.symmetric_count(r)
     assert symmetric == expected, f"census {symmetric}, formula {expected}"
 
@@ -104,11 +144,7 @@ def _marginalization(r, s):
 
 
 def _partition(r, s):
-    splits = set()
-    for r1, r2 in counting.parameter_splits(r):
-        for t1, t2 in counting.parameter_splits(s):
-            splits.add(counting.normalize_parameters(r1, r2, t1, t2))
-    total = sum(counting.derived_class_count(*split) for split in splits)
+    total = sum(counting.derived_class_count(*split) for split in _splits(r, s))
     expected = counting.a_tilde(r, s)
     assert total == expected, f"partition sum {total}, class count {expected}"
 
@@ -126,11 +162,10 @@ def _series_quadratic(degree):
 def _series_catalan(degree):
     a = solve_a_point(degree, ("z", "t"))
     a1 = a.specialize_one("t")
-    # z^d is complete once d + d//2 fits under the truncation
-    dmax = 0
-    while dmax + 1 + (dmax + 1) // 2 <= degree:
-        dmax += 1
-    for d in range(dmax + 1):
+    # z^d is complete only while d + d//2 fits under the truncation
+    for d in range(degree + 1):
+        if d + d // 2 > degree:
+            break
         expected = Fraction(counting.binomial(2 * d + 2, d + 1), d + 2)
         got = a1.coefficient(z=d)
         assert got == expected, f"z^{d}: {got} != {expected}"
@@ -192,38 +227,39 @@ def _series_grid(degree):
 
 
 def iter_checks(n_max: int = 8, degree: int = 10):
-    """Yield (name, thunk) pairs; thunks raise AssertionError on failure."""
-    cache: dict[tuple[int, int], object] = {}
+    """List the checks at this scale as (name, thunk) pairs.
 
-    def get_class(r, s):
-        if (r, s) not in cache:
-            cache[r, s] = enumerate_class(seed_cycle(r, s))
-        return cache[r, s]
-
-    for total in range(2, n_max + 1):
-        for r in range(1, total // 2 + 1):
-            s = total - r
-            yield f"class-size-atilde-{r}-{s}", partial(_class_sizes, get_class, r, s)
+    Thunks raise AssertionError on failure.  Raises ValueError for a scale
+    below ``MIN_N_MAX`` or ``MIN_DEGREE``, where some family would pass
+    without testing anything.
+    """
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"--n-max must be at least {MIN_N_MAX}, got {n_max}")
+    if degree < MIN_DEGREE:
+        raise ValueError(f"--degree must be at least {MIN_DEGREE}, got {degree}")
+    weights = [(r, t - r) for t in range(2, n_max + 1) for r in range(1, t // 2 + 1)]
+    checks = []
+    for r, s in weights:
+        checks.append((f"class-size-atilde-{r}-{s}", partial(_class_sizes, r, s)))
     for n in range(4, min(8, n_max) + 1):
-        yield f"class-size-dynkin-d-{n}", partial(_dynkin_size, n)
-    for total in range(2, min(8, n_max) + 1):
-        for r in range(1, total // 2 + 1):
-            yield f"parameter-census-{r}-{total - r}", partial(
-                _parameter_census, get_class, r, total - r
-            )
-    for r in range(1, min(4, n_max // 2) + 1):
-        yield f"symmetric-census-{r}", partial(_symmetric_census, get_class, r)
-    for r in range(1, 7):
-        for s in range(r, 7):
-            yield f"marginalization-{r}-{s}", partial(_marginalization, r, s)
-    for total in range(2, 9):
-        for r in range(1, total // 2 + 1):
-            yield f"partition-{r}-{total - r}", partial(_partition, r, total - r)
-    yield "series-quadratic-identity", partial(_series_quadratic, degree)
-    yield "series-catalan-specialization", partial(_series_catalan, degree)
-    yield "series-substitution-identity", partial(_series_substitution, degree)
-    yield "series-derivative-identity", partial(_series_derivative, degree)
-    yield "series-coefficient-grid", partial(_series_grid, degree)
+        checks.append((f"class-size-dynkin-d-{n}", partial(_dynkin_size, n)))
+    for r, s in weights:
+        checks.append((f"parameter-census-{r}-{s}", partial(_parameter_census, r, s)))
+    for r in range(1, n_max // 2 + 1):
+        checks.append((f"symmetric-census-{r}", partial(_symmetric_census, r)))
+    for r in range(1, n_max - 1):
+        for s in range(1, n_max - 1):
+            checks.append((f"marginalization-{r}-{s}", partial(_marginalization, r, s)))
+    for r, s in weights:
+        checks.append((f"partition-{r}-{s}", partial(_partition, r, s)))
+    checks += [
+        ("series-quadratic-identity", partial(_series_quadratic, degree)),
+        ("series-catalan-specialization", partial(_series_catalan, degree)),
+        ("series-substitution-identity", partial(_series_substitution, degree)),
+        ("series-derivative-identity", partial(_series_derivative, degree)),
+        ("series-coefficient-grid", partial(_series_grid, degree)),
+    ]
+    return checks
 
 
 def run_verification(n_max: int = 8, degree: int = 10, log=print):

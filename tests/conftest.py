@@ -6,36 +6,18 @@ import pytest
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from quivercount.mutation_class import (  # noqa: E402
-    enumerate_class,
-    seed_cycle,
-    seed_dynkin_d,
-)
+from quivercount import verify  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def cycle_class():
-    """Memoized access to enumerated annular classes, shared by the suite."""
-    cache = {}
-
-    def get(r, s):
-        if (r, s) not in cache:
-            cache[r, s] = enumerate_class(seed_cycle(r, s))
-        return cache[r, s]
-
-    return get
+    """Enumerated annular classes, from the cache ``verify`` reads too."""
+    return verify.cycle_class
 
 
 @pytest.fixture(scope="session")
 def dynkin_class():
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = enumerate_class(seed_dynkin_d(n))
-        return cache[n]
-
-    return get
+    return verify.dynkin_class
 
 
 @pytest.fixture

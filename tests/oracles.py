@@ -17,6 +17,16 @@ from quivercount.mutation_class import CapExceeded, MutationClass
 from quivercount.quiver import ExchangeQuiver, max_multiplicity
 
 
+def all_quivers(n: int, values):
+    """Every quiver on n vertices whose entries b[i][j], i < j, lie in ``values``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for entries in itertools.product(values, repeat=len(pairs)):
+        b = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, entries):
+            b[i][j], b[j][i] = v, -v
+        yield ExchangeQuiver.from_matrix(b)
+
+
 def mutate_arrow_list(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     """Mutation following the four-step arrow description.
 

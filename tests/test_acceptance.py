@@ -2,28 +2,23 @@
 
 Run with plain pytest; the PASS/FAIL lines bypass capture so they are
 visible either way.  Every tolerance is exact integer or exact rational
-equality.
+equality.  Criteria 2 to 6 run the cross-checks of ``quivercount.verify``
+at the scale of ``quivercount verify --n-max 10 --degree 12``, selected by
+name prefix.
 """
 
 import itertools
 import random
 import time
-from collections import Counter
 
 from oracles import random_quiver
 from quivercount import counting
 from quivercount.canonical import canonical_key
-from quivercount.classify import classify, is_symmetric
 from quivercount.cli import run
 from quivercount.quiver import mutate, relabel
-from quivercount.series import (
-    TruncatedSeries,
-    atilde_series,
-    b_series,
-    b_series_at_unit,
-    log_one_over_one_minus,
-    solve_a_point,
-)
+from quivercount.verify import iter_checks
+
+CHECKS = iter_checks(10, 12)
 
 EXPECTED_TABLE_TEXT = [
     "2 | 1",
@@ -58,133 +53,48 @@ def test_criterion_1_table_regression(capsys):
     _report(capsys, 1, "reference table reproduced exactly, under 1s", failures)
 
 
-def test_criterion_2_formula_vs_enumeration(capsys, cycle_class):
+def _run_registry(prefixes):
+    """Run the registry's checks whose names start with one of ``prefixes``."""
     failures = []
-    for total in range(2, 11):
-        for r in range(1, total // 2 + 1):
-            s = total - r
-            got = cycle_class(r, s).size
-            want = counting.a_tilde(r, s)
-            if got != want:
-                failures.append(f"(r,s)=({r},{s}): enumerated {got}, formula {want}")
+    selected = [(name, thunk) for name, thunk in CHECKS if name.startswith(prefixes)]
+    if not selected:
+        failures.append(f"no registry check starts with {prefixes}")
+    for name, thunk in selected:
+        try:
+            thunk()
+        except AssertionError as exc:
+            failures.append(f"{name}: {exc}")
+    return failures
+
+
+def test_criterion_2_formula_vs_enumeration(capsys):
+    failures = _run_registry(("class-size-atilde-",))
     _report(capsys, 2, "class sizes equal closed forms for 2 <= r+s <= 10", failures)
 
 
-def test_criterion_3_type_d_cross_check(capsys, dynkin_class):
-    failures = []
-    for n in range(4, 9):
-        got = dynkin_class(n).size
-        want = counting.d_n_count(n)
-        if got != want:
-            failures.append(f"D_{n}: enumerated {got}, formula {want}")
-    if counting.d_n_count(4) != 6:
-        failures.append("rank 4 exception not pinned to 6")
+def test_criterion_3_type_d_cross_check(capsys):
+    failures = _run_registry(("class-size-dynkin-d-",))
     _report(capsys, 3, "type D class sizes match for n = 4..8, rank 4 exception included", failures)
 
 
-def test_criterion_4_refined_partition(capsys, cycle_class):
-    failures = []
-    for total in range(2, 9):
-        for r in range(1, total // 2 + 1):
-            s = total - r
-            census = Counter()
-            for q in cycle_class(r, s).representatives():
-                st = classify(q)
-                if st is None:
-                    failures.append(f"(r,s)=({r},{s}): unclassifiable member")
-                    continue
-                census[st.realization_1.as_tuple()] += 1
-            splits = {
-                counting.normalize_parameters(r1, r2, s1, s2)
-                for r1, r2 in counting.parameter_splits(r)
-                for s1, s2 in counting.parameter_splits(s)
-            }
-            if not set(census) <= splits:
-                failures.append(
-                    f"(r,s)=({r},{s}): unexpected parameters {set(census) - splits}"
-                )
-            for split in sorted(splits):
-                want = counting.derived_class_count(*split)
-                got = census.get(split, 0)
-                if got != want:
-                    failures.append(
-                        f"(r,s)=({r},{s}) split {split}: census {got}, formula {want}"
-                    )
-            if sum(census.values()) != counting.a_tilde(r, s):
-                failures.append(f"(r,s)=({r},{s}): splits do not sum to the class size")
-    _report(capsys, 4, "parameter censuses match refined counts for r+s <= 8", failures)
+def test_criterion_4_refined_partition(capsys):
+    failures = _run_registry(("parameter-census-", "partition-", "marginalization-"))
+    _report(
+        capsys,
+        4,
+        "parameter censuses and partitions match refined counts for r+s <= 10, "
+        "marginals for r, s <= 8",
+        failures,
+    )
 
 
-def test_criterion_5_symmetric_census(capsys, cycle_class):
-    failures = []
-    for r in range(1, 5):
-        got = sum(
-            1
-            for q in cycle_class(r, r).representatives()
-            if is_symmetric(classify(q))
-        )
-        want = counting.symmetric_count(r)
-        if got != want:
-            failures.append(f"r={r}: {got} symmetric members, formula {want}")
-        if want != counting.binomial(2 * r, r) // 2:
-            failures.append(f"r={r}: closed form drifted from half a central binomial")
-    _report(capsys, 5, "coinciding-realization censuses match for r <= 4", failures)
+def test_criterion_5_symmetric_census(capsys):
+    failures = _run_registry(("symmetric-census-",))
+    _report(capsys, 5, "coinciding-realization censuses match for r <= 5", failures)
 
 
 def test_criterion_6_series_oracle_suite(capsys):
-    deg = 12
-    failures = []
-
-    variables = ("z", "t")
-    a = solve_a_point(deg, variables)
-    one = TruncatedSeries.constant(variables, deg, 1)
-    z = TruncatedSeries.monomial(variables, deg, z=1)
-    z2t = TruncatedSeries.monomial(variables, deg, z=2, t=1)
-    if a != one + 2 * (z * a) + z2t * (a * a):
-        failures.append("quadratic functional equation fails")
-
-    a1 = a.specialize_one("t")
-    catalan = [1, 2, 5, 14, 42, 132, 429, 1430]
-    got = [a1.coefficient(z=d) for d in range(8)]
-    if got != catalan:
-        failures.append(f"specialization gives {got}, wanted {catalan}")
-
-    vars4 = ("p", "q", "x", "y")
-    lhs = b_series(deg, vars4)
-    base = b_series_at_unit(deg, vars4)
-    p = TruncatedSeries.monomial(vars4, deg, p=1)
-    p2 = TruncatedSeries.monomial(vars4, deg, p=2)
-    p2x = TruncatedSeries.monomial(vars4, deg, p=2, x=1)
-    q = TruncatedSeries.monomial(vars4, deg, q=1)
-    q2 = TruncatedSeries.monomial(vars4, deg, q=2)
-    q2y = TruncatedSeries.monomial(vars4, deg, q=2, y=1)
-    if lhs != base.substitute("p", p + p2x - p2).substitute("q", q + q2y - q2):
-        failures.append("marker substitution identity fails")
-
-    vars3 = ("t", "p", "q")
-    marked = b_series_at_unit(deg, ("p", "q")).mark_total_degree(vars3, "t")
-    lg = log_one_over_one_minus(marked)
-    t = TruncatedSeries.monomial(vars3, deg, t=1)
-    left = 1 + 2 * (t * lg.derivative("t"))
-    tp = TruncatedSeries.monomial(vars3, deg, t=1, p=1)
-    tq = TruncatedSeries.monomial(vars3, deg, t=1, q=1)
-    one3 = TruncatedSeries.constant(vars3, deg, 1)
-    if left * left * (one3 - 4 * tp) * (one3 - 4 * tq) != one3:
-        failures.append("derivative identity (squared form) fails")
-
-    at = atilde_series(deg)
-    for r in range(1, deg):
-        for s in range(1, deg - r + 1):
-            for r2 in range(r // 2 + 1):
-                for s2 in range(s // 2 + 1):
-                    if r + s + r2 + s2 > deg:
-                        continue
-                    got_c = at.coefficient(p=r, q=s, x=r2, y=s2)
-                    want_c = counting.refined_realization_count(r, r2, s, s2)
-                    if got_c != want_c:
-                        failures.append(
-                            f"[p^{r} q^{s} x^{r2} y^{s2}] = {got_c}, formula {want_c}"
-                        )
+    failures = _run_registry(("series-",))
     _report(capsys, 6, "series identities hold exactly to total degree 12", failures)
 
 

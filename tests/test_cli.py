@@ -60,6 +60,8 @@ def test_count_json(capsys):
         ["count", "--r", "5", "--r1", "1", "--r2", "0", "--s1", "1", "--s2", "0"],
         ["count", "--r", "0", "--s", "2"],
         ["nonsense"],
+        ["verify", "--n-max", "1", "--degree", "0"],
+        ["verify", "--n-max", "0", "--degree", "-3"],
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
@@ -149,6 +151,14 @@ def test_classify_missing_file(capsys, tmp_path):
 def test_directory_path_is_a_usage_error(capsys, tmp_path, command):
     assert run(command + [str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["classify", "--file"], ["enumerate", "--seed"]])
+def test_oversized_vertex_count_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.quiver"
+    path.write_text("100000\n")
+    assert run(command + [str(path)]) == 2
+    assert "exceeds the ceiling" in capsys.readouterr().err
 
 
 def test_verify_small_run_passes(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import mutate_arrow_list, random_quiver
 from quivercount.quiver import (
+    MAX_VERTICES,
     ExchangeQuiver,
     QuiverFormatError,
     dumps,
@@ -164,6 +165,8 @@ def test_loads_accepts_comments_and_blank_lines():
         "2\n0 1 1\n0 1 1\n",
         "2\n0 1 1\n1 0 1\n",
         "2\n0 2 1\n",
+        f"{MAX_VERTICES + 1}\n",
+        "100000\n",
     ],
 )
 def test_loads_rejects_malformed(text):

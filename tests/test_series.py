@@ -1,13 +1,12 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from oracles import necklace_count
+from oracles import all_quivers, necklace_count
 from quivercount import counting
 from quivercount.canonical import canonical_key
 from quivercount.classify import parse_rooted_type_a
-from quivercount.quiver import ExchangeQuiver, underlying_graph_connected
+from quivercount.quiver import underlying_graph_connected
 from quivercount.series import (
     TruncatedSeries,
     atilde_series,
@@ -15,7 +14,6 @@ from quivercount.series import (
     b_series_at_unit,
     log_one_over_one_minus,
     solve_a_point,
-    solve_catalan_shifted,
 )
 
 VARS = ("p", "q")
@@ -48,7 +46,8 @@ def test_mismatched_operands_rejected():
 
 
 def test_power_and_scalar():
-    f = (1 + mono(6, p=1)) ** 3
+    g = 1 + mono(6, p=1)
+    f = g * g * g
     assert f.coefficient(p=2) == 3
     assert (Fraction(1, 2) * mono(6, p=1)).coefficient(p=1) == Fraction(1, 2)
 
@@ -119,19 +118,10 @@ def test_a_point_base_coefficients():
     assert a.coefficient(z=3, t=1) == 6
 
 
-def test_a_point_quadratic_identity():
-    deg = 12
-    a = solve_a_point(deg)
-    one = TruncatedSeries.constant(("z", "t"), deg, 1)
-    z = TruncatedSeries.monomial(("z", "t"), deg, z=1)
-    z2t = TruncatedSeries.monomial(("z", "t"), deg, z=2, t=1)
-    assert a == one + 2 * (z * a) + z2t * (a * a)
-
-
 def test_a_point_catalan_specialization():
     a1 = solve_a_point(12).specialize_one("t")
     assert [a1.coefficient(z=d) for d in range(5)] == [1, 2, 5, 14, 42]
-    direct = solve_catalan_shifted(12)
+    direct = solve_a_point(12, ("z",))
     for d in range(8):
         assert a1.coefficient(z=d) == direct.coefficient(z=d)
 
@@ -143,15 +133,9 @@ def _rooted_type_a_census(nverts):
     root 0, keeps the connected ones the structural parser accepts, and
     deduplicates up to root-preserving isomorphism.
     """
-    pairs = list(itertools.combinations(range(nverts), 2))
     census = {}
     seen = set()
-    for assignment in itertools.product((0, 1, -1), repeat=len(pairs)):
-        b = [[0] * nverts for _ in range(nverts)]
-        for (i, j), v in zip(pairs, assignment):
-            b[i][j] = v
-            b[j][i] = -v
-        q = ExchangeQuiver.from_matrix(b)
+    for q in all_quivers(nverts, (0, 1, -1)):
         if not underlying_graph_connected(q):
             continue
         parsed = parse_rooted_type_a(q, 0)
@@ -179,37 +163,6 @@ def test_a_point_against_brute_force_enumeration(nverts):
     assert total == sum(
         a.coefficient(z=nverts - 1, t=c) for c in range(tmax + 1)
     )
-
-
-# -- block alphabet identities ---------------------------------------------------
-
-
-def test_block_alphabet_substitution_identity():
-    deg = 12
-    variables = ("p", "q", "x", "y")
-    lhs = b_series(deg, variables)
-    base = b_series_at_unit(deg, variables)
-    p = TruncatedSeries.monomial(variables, deg, p=1)
-    p2 = TruncatedSeries.monomial(variables, deg, p=2)
-    p2x = TruncatedSeries.monomial(variables, deg, p=2, x=1)
-    q = TruncatedSeries.monomial(variables, deg, q=1)
-    q2 = TruncatedSeries.monomial(variables, deg, q=2)
-    q2y = TruncatedSeries.monomial(variables, deg, q=2, y=1)
-    rhs = base.substitute("p", p + p2x - p2).substitute("q", q + q2y - q2)
-    assert lhs == rhs
-
-
-def test_derivative_identity_squared_form():
-    deg = 12
-    variables = ("t", "p", "q")
-    marked = b_series_at_unit(deg, ("p", "q")).mark_total_degree(variables, "t")
-    lg = log_one_over_one_minus(marked)
-    t = TruncatedSeries.monomial(variables, deg, t=1)
-    left = 1 + 2 * (t * lg.derivative("t"))
-    tp = TruncatedSeries.monomial(variables, deg, t=1, p=1)
-    tq = TruncatedSeries.monomial(variables, deg, t=1, q=1)
-    one = TruncatedSeries.constant(variables, deg, 1)
-    assert left * left * (one - 4 * tp) * (one - 4 * tq) == one
 
 
 # -- the cycle construction -------------------------------------------------------
@@ -243,34 +196,8 @@ def test_annular_series_basic_coefficients():
     assert marginal == counting.realization_count(2, 2) == 5
 
 
-def test_annular_series_matches_refined_counts():
-    deg = 10
-    at = atilde_series(deg)
-    for r in range(1, deg):
-        for s in range(1, deg - r + 1):
-            for r2 in range(r // 2 + 1):
-                for s2 in range(s // 2 + 1):
-                    if r + s + r2 + s2 > deg:
-                        continue
-                    assert at.coefficient(
-                        p=r, q=s, x=r2, y=s2
-                    ) == counting.refined_realization_count(r, r2, s, s2)
-
-
 def test_annular_series_marker_support():
     at = atilde_series(10)
     for (er, es, ex, ey), c in at.coeffs.items():
         assert c > 0
         assert 2 * ex <= er and 2 * ey <= es
-
-
-def test_annular_series_oriented_specialization():
-    # the marginal over the 3-cycle marker needs every cell under the
-    # truncation, so only weights with n + n//2 <= degree are complete
-    deg = 10
-    at = atilde_series(deg)
-    for n in range(3, deg + 1):
-        if n + n // 2 > deg:
-            continue
-        got = sum(at.coefficient(q=n, y=s2) for s2 in range(n // 2 + 1))
-        assert got == counting.a_tilde(0, n)
