@@ -7,6 +7,30 @@ exponent tuples to ints or Fractions, truncated at a fixed total degree.
 It serves as an oracle fully independent of the summation formulas in
 :mod:`quivercount.counting`.
 
+Products run on a private graded form.  A series truncated at degree D is
+split into its homogeneous parts by total degree, and each part maps
+packed exponent codes to coefficients: the exponent tuple (e_1, ..., e_m)
+becomes the integer sum of e_i * (D + 1)**(i - 1).  Multiplying two
+monomials is then one integer addition.  No carry can occur, because two
+codes are only ever added when their total degrees sum to at most D, so
+every exponent of the sum is at most D, below the base.  The codes never
+leave this module; ``coeffs`` is keyed by exponent tuples.
+
+The graded form lets each series be built one degree at a time from
+parts already known:
+
+- the rooted type A series solves A = 1 + 2zA + z^2 t A^2 degree by
+  degree, since the part of A^2 it needs has lower degree;
+- with theta the total-degree Euler operator (it multiplies the degree-n
+  part by n), L = log(1/(1 - B)) satisfies theta L = theta B + B theta L,
+  so (theta L)_n = n B_n + sum over 0 < j < n of B_(n-j) (theta L)_j, and
+  L_n = (theta L)_n / n: one online product instead of a sum of powers;
+- the cycle construction sum over k of phi(k)/k log(1/(1 - B(v^k))) needs
+  that logarithm only once, since log(1/(1 - B(v^k))) = L(v^k) exactly
+  under total-degree truncation.  Its coefficient at exponent e is
+  (1/|e|) sum over k dividing e of phi(k) (theta L)_(e/k), summed in
+  integers and checked to divide exactly.
+
 Square roots never appear: identities whose closed form involves one are
 verified in squared or functional-equation form so everything stays in
 exact polynomial arithmetic.
@@ -17,6 +41,63 @@ from __future__ import annotations
 from fractions import Fraction
 
 from quivercount.counting import euler_phi
+
+
+# -- graded kernel: homogeneous parts over packed exponent codes -------------
+
+
+def _pack(s: "TruncatedSeries") -> list[dict]:
+    """Split ``s`` into its homogeneous parts, indexed by total degree."""
+    base = s.degree + 1
+    parts = [{} for _ in range(base)]
+    for exps, c in s.coeffs.items():
+        code = 0
+        for e in reversed(exps):
+            code = code * base + e
+        parts[sum(exps)][code] = c
+    return parts
+
+
+def _code(variables, degree, **exps) -> int:
+    """Packed code of one monomial."""
+    return sum(e * (degree + 1) ** variables.index(v) for v, e in exps.items())
+
+
+def _unpack(parts: list[dict], variables, degree) -> "TruncatedSeries":
+    """The series whose homogeneous parts are ``parts``, zeros dropped."""
+    base, nvars = degree + 1, len(variables)
+    out = {}
+    for part in parts:
+        for code, c in part.items():
+            if c:
+                exps = []
+                for _ in range(nvars):
+                    code, e = divmod(code, base)
+                    exps.append(e)
+                out[tuple(exps)] = c
+    return TruncatedSeries(variables, degree, out)
+
+
+def _product_part(a: list[dict], b: list[dict], n: int) -> dict:
+    """Degree-``n`` part of the product of graded series ``a`` and ``b``.
+
+    Only the parts each list holds so far are read, so a series being
+    built degree by degree can be a factor of its own next part.
+    """
+    out: dict[int, object] = {}
+    get = out.get
+    for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+        pa, pb = a[i], b[n - i]
+        if not pa or not pb:
+            continue
+        if len(pa) > len(pb):
+            pa, pb = pb, pa
+        items = pb.items()
+        for ca, va in pa.items():
+            for cb, vb in items:
+                k = ca + cb
+                out[k] = get(k, 0) + va * vb
+    return out
 
 
 class TruncatedSeries:
@@ -124,22 +205,9 @@ class TruncatedSeries:
                 {e: c * other for e, c in self.coeffs.items()},
             )
         self._compat(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        deg = self.degree
-        bitems = sorted(
-            ((sum(e), e, c) for e, c in b.items()), key=lambda t: t[0]
-        )
-        out: dict[tuple[int, ...], object] = {}
-        for ea, ca in a.items():
-            da = sum(ea)
-            for db, eb, cb in bitems:
-                if da + db > deg:
-                    break
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return TruncatedSeries(self.variables, self.degree, out)
+        a, b = _pack(self), _pack(other)
+        parts = [_product_part(a, b, n) for n in range(self.degree + 1)]
+        return _unpack(parts, self.variables, self.degree)
 
     __rmul__ = __mul__
 
@@ -163,11 +231,12 @@ class TruncatedSeries:
             groups.setdefault(e, {})[rest] = c
         result = TruncatedSeries.zero(self.variables, self.degree)
         gk = TruncatedSeries.constant(self.variables, self.degree, 1)
-        for e in range(max(groups) + 1 if groups else 0):
+        for e in range(max(groups, default=-1) + 1):
+            if e:
+                gk = gk * g
             if e in groups:
                 part = TruncatedSeries(self.variables, self.degree, groups[e])
                 result = result + part * gk
-            gk = gk * g
         return result
 
     def raise_exponents(self, k: int) -> "TruncatedSeries":
@@ -246,17 +315,24 @@ class TruncatedSeries:
 
 
 def log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
-    """log(1/(1 - b)) = sum of b**m / m, for b with zero constant term."""
+    """log(1/(1 - b)), for b with zero constant term.
+
+    Built from theta L = theta b + b theta L one degree at a time, where
+    theta multiplies each degree-n part by n.
+    """
     if b.constant_term():
         raise ValueError("series must have zero constant term")
-    acc = TruncatedSeries.zero(b.variables, b.degree)
-    power = TruncatedSeries.constant(b.variables, b.degree, 1)
-    for m in range(1, b.degree + 1):
-        power = power * b
-        if not power.coeffs:
-            break
-        acc = acc + power * Fraction(1, m)
-    return acc
+    bp = _pack(b)
+    theta = [{}]
+    for n in range(1, b.degree + 1):
+        part = _product_part(bp, theta, n)
+        for code, c in bp[n].items():
+            part[code] = part.get(code, 0) + n * c
+        theta.append(part)
+    for n, part in enumerate(theta):
+        for code, c in part.items():
+            part[code] = Fraction(c, n)
+    return _unpack(theta, b.variables, b.degree)
 
 
 def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
@@ -266,23 +342,25 @@ def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     3-cycles.  A rooted quiver is the bare root, or the root joined by an
     arrow (either way) to a rooted quiver, or the root on an oriented
     3-cycle with a rooted quiver at each of the other two vertices; that
-    recursion reads A = 1 + 2 z A + z^2 t A^2, iterated here to the
-    truncation fixpoint.  Given one variable, the 3-cycle marker is set to
+    recursion reads A = 1 + 2 z A + z^2 t A^2, solved here one total
+    degree at a time.  Given one variable, the 3-cycle marker is set to
     one: A = 1 + 2 z A + z^2 A^2, whose coefficients are the Catalan
     numbers shifted by one.
     """
+    variables = tuple(variables)
     zvar, *marker = variables
-    one = TruncatedSeries.constant(variables, degree, 1)
-    z = TruncatedSeries.monomial(variables, degree, **{zvar: 1})
-    z2t = TruncatedSeries.monomial(
-        variables, degree, **{zvar: 2}, **dict.fromkeys(marker, 1)
-    )
-    a = one
-    while True:
-        nxt = one + 2 * (z * a) + z2t * (a * a)
-        if nxt == a:
-            return a
-        a = nxt
+    z = _code(variables, degree, **{zvar: 1})
+    z2t = _code(variables, degree, **{zvar: 2}, **dict.fromkeys(marker, 1))
+    lag = 2 + len(marker)  # total degree of z^2 t
+    parts = [{0: 1}]
+    for n in range(1, degree + 1):
+        part = {code + z: 2 * c for code, c in parts[n - 1].items()}
+        if n >= lag:
+            for code, c in _product_part(parts, parts, n - lag).items():
+                code += z2t
+                part[code] = part.get(code, 0) + c
+        parts.append(part)
+    return _unpack(parts, variables, degree)
 
 
 def b_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSeries:
@@ -325,15 +403,27 @@ def atilde_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSerie
     """Generating function of realizations: cycles of base-arrow blocks.
 
     The unlabelled cycle construction weights each divisor k by phi(k)/k
-    and evaluates the log at exponent-scaled arguments.  Since the alphabet
-    has no constant term, divisors beyond the truncation degree contribute
-    nothing and the sum is finite.
+    and evaluates the log at exponent-scaled arguments.  That log is L(v^k)
+    for the one logarithm L of the alphabet, so the exponent e collects
+    phi(k) (theta L)_(e/k) over the k dividing e, and the sum over |e| must
+    be an integer: a remainder raises ArithmeticError.
     """
-    b = b_series(degree, variables)
-    total = TruncatedSeries.zero(variables, degree)
-    for k in range(1, degree + 1):
-        bk = b.raise_exponents(k)
-        if not bk.coeffs:
-            break
-        total = total + log_one_over_one_minus(bk) * Fraction(euler_phi(k), k)
-    return total
+    log = log_one_over_one_minus(b_series(degree, variables))
+    phi = [0] + [euler_phi(k) for k in range(1, degree + 1)]
+    sums: dict[tuple[int, ...], int] = {}
+    for exps, c in log.coeffs.items():
+        n = sum(exps)
+        # c is (theta L)_e / n in lowest terms, and (theta L)_e is an
+        # integer because the alphabet's coefficients are, so this is exact
+        theta = c.numerator * (n // c.denominator)
+        for k in range(1, degree // n + 1):
+            key = tuple(k * e for e in exps)
+            sums[key] = sums.get(key, 0) + phi[k] * theta
+    del log  # freed before the result is copied, to lower the peak memory
+    for exps, total in sums.items():
+        sums[exps], rem = divmod(total, sum(exps))
+        if rem:
+            raise ArithmeticError(
+                f"coefficient at {exps} is {total}/{sum(exps)}, not an integer"
+            )
+    return TruncatedSeries(variables, degree, sums)

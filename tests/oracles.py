@@ -3,7 +3,10 @@
 Each oracle deliberately recomputes its answer along a different route from
 the code under test: mutation on explicit arrow lists instead of the matrix
 update, isomorphism by trying every vertex bijection, class enumeration with
-no shortcuts, and necklace counts by brute rotation.
+no shortcuts, necklace counts by brute rotation, and series built from
+products over exponent tuples: logarithms as sums of powers, the rooted
+type A series by fixpoint iteration and the cycle construction as one
+logarithm per divisor.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 from quivercount.canonical import canonical_key
+from quivercount.counting import euler_phi
 from quivercount.mutation_class import CapExceeded, MutationClass
 from quivercount.quiver import ExchangeQuiver, max_multiplicity
+from quivercount.series import TruncatedSeries
 
 
 def all_quivers(n: int, values):
@@ -123,3 +129,65 @@ def random_quiver(
                 b[i][j] = v
                 b[j][i] = -v
     return ExchangeQuiver.from_matrix(b)
+
+
+def reference_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Product over exponent tuples, pairing terms by increasing degree."""
+    if a.variables != b.variables or a.degree != b.degree:
+        raise ValueError("series differ in variables or truncation degree")
+    bitems = sorted(((sum(e), e, c) for e, c in b.coeffs.items()), key=lambda t: t[0])
+    out = {}
+    for ea, ca in a.coeffs.items():
+        da = sum(ea)
+        for db, eb, cb in bitems:
+            if da + db > a.degree:
+                break
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return TruncatedSeries(a.variables, a.degree, out)
+
+
+def reference_log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
+    """log(1/(1 - b)) as the sum of b**m / m."""
+    if b.constant_term():
+        raise ValueError("series must have zero constant term")
+    acc = TruncatedSeries.zero(b.variables, b.degree)
+    power = TruncatedSeries.constant(b.variables, b.degree, 1)
+    for m in range(1, b.degree + 1):
+        power = reference_mul(power, b)
+        acc = acc + power * Fraction(1, m)
+    return acc
+
+
+def reference_solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
+    """A = 1 + 2 z A + z^2 t A^2 (t omitted with one variable), iterated
+    from A = 1 until the truncation stops changing."""
+    zvar, *marker = variables
+    one = TruncatedSeries.constant(variables, degree, 1)
+    z = TruncatedSeries.monomial(variables, degree, **{zvar: 1})
+    z2t = TruncatedSeries.monomial(
+        variables, degree, **{zvar: 2}, **dict.fromkeys(marker, 1)
+    )
+    a = one
+    while True:
+        nxt = one + 2 * reference_mul(z, a) + reference_mul(z2t, reference_mul(a, a))
+        if nxt == a:
+            return a
+        a = nxt
+
+
+def reference_atilde_series(degree: int) -> TruncatedSeries:
+    """The cycle construction over the block alphabet in p, q, x, y, with
+    one logarithm of B(v^k) for every k."""
+    variables = ("p", "q", "x", "y")
+    a = reference_solve_a_point(degree)
+    b = TruncatedSeries.zero(variables, degree)
+    for v, marker in (("p", "x"), ("q", "y")):
+        arrow = TruncatedSeries.monomial(variables, degree, **{v: 1})
+        block = TruncatedSeries.monomial(variables, degree, **{v: 2, marker: 1})
+        b = b + arrow + reference_mul(block, a.embed(variables, {"z": v, "t": marker}))
+    total = TruncatedSeries.zero(variables, degree)
+    for k in range(1, degree + 1):
+        log = reference_log_one_over_one_minus(b.raise_exponents(k))
+        total = total + log * Fraction(euler_phi(k), k)
+    return total

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 from oracles import all_quivers
@@ -10,6 +11,7 @@ from quivercount.classify import (
 from quivercount.mutation_class import seed_cycle, seed_dynkin_d
 from quivercount.quiver import (
     ExchangeQuiver,
+    mutate,
     read_quiver,
     relabel,
     underlying_graph_connected,
@@ -169,3 +171,40 @@ def test_classify_accepts_exactly_the_annular_classes(cycle_class):
             if underlying_graph_connected(q):
                 accepted = classify(q) is not None
                 assert accepted == (canonical_key(q) in members), q.b
+
+
+def _walk_sample(rng, n):
+    """Relabelled members of mutation walks off the rank-n cycle seeds
+    (the oriented one, of type D, included), each followed by a copy with
+    one entry changed."""
+    for r in range(n // 2 + 1):
+        q = seed_cycle(r, n - r)
+        for _ in range(12):
+            for _ in range(5):
+                q = mutate(q, rng.randrange(n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            member = relabel(q, perm)
+            yield member
+            i, j = rng.sample(range(n), 2)
+            b = [list(row) for row in member.b]
+            b[i][j] = rng.choice([v for v in range(-2, 3) if v != b[i][j]])
+            b[j][i] = -b[i][j]
+            yield ExchangeQuiver.from_matrix(b)
+
+
+def test_classify_accepts_exactly_the_annular_classes_on_a_seeded_sample(
+    cycle_class,
+):
+    rng = random.Random(906)
+    verdicts = Counter()
+    for n in range(5, 9):
+        members = set()
+        for r in range(1, n // 2 + 1):
+            members |= set(cycle_class(r, n - r).members)
+        for q in _walk_sample(rng, n):
+            if underlying_graph_connected(q):
+                accepted = classify(q) is not None
+                assert accepted == (canonical_key(q) in members), q.b
+                verdicts[accepted] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts

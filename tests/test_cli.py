@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -189,3 +193,13 @@ def test_verify_default_scale_passes(capsys):
     assert "all checks passed" in out
     assert "ok class-size-dynkin-d-8" in out
     assert "ok series-coefficient-grid" in out
+
+
+def test_runs_as_a_module_from_a_checkout():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "quivercount", "count", "--r", "2", "--s", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "12")

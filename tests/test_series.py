@@ -1,9 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_quivers, necklace_count
-from quivercount import counting
+from oracles import (
+    all_quivers,
+    necklace_count,
+    reference_atilde_series,
+    reference_log_one_over_one_minus,
+    reference_mul,
+    reference_solve_a_point,
+)
+from quivercount import counting, series
 from quivercount.canonical import canonical_key
 from quivercount.classify import parse_rooted_type_a
 from quivercount.quiver import underlying_graph_connected
@@ -201,3 +210,58 @@ def test_annular_series_marker_support():
     for (er, es, ex, ey), c in at.coeffs.items():
         assert c > 0
         assert 2 * ex <= er and 2 * ey <= es
+
+
+def test_cycle_sum_integrality_gate(monkeypatch):
+    # with every divisor weighted 1 the cycle sum is not integral: at p^3
+    # it is (1 + 1) / 3
+    monkeypatch.setattr(series, "euler_phi", lambda k: 1)
+    with pytest.raises(ArithmeticError):
+        atilde_series(12)
+
+
+# -- against the reference routes -------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", range(4, 17))
+def test_series_match_reference_routes(degree):
+    for variables in (("z", "t"), ("z",)):
+        assert solve_a_point(degree, variables) == reference_solve_a_point(
+            degree, variables
+        )
+    b = b_series(degree)
+    assert log_one_over_one_minus(b) == reference_log_one_over_one_minus(b)
+    assert atilde_series(degree) == reference_atilde_series(degree)
+
+
+NONZERO = st.one_of(
+    st.integers(-4, 4), st.fractions(-2, 2, max_denominator=5)
+).filter(bool)
+
+
+@st.composite
+def rings(draw):
+    return ("p", "q", "x", "y")[: draw(st.integers(1, 4))], draw(st.integers(1, 7))
+
+
+@st.composite
+def series_in(draw, variables, degree, lowest=0):
+    """A random series with a term at exactly the truncation degree, where
+    a packed exponent that carried would show."""
+    coeffs = {}
+    for total in [degree] + draw(st.lists(st.integers(lowest, degree), max_size=8)):
+        exps = []
+        for _ in variables[1:]:
+            exps.append(draw(st.integers(0, total - sum(exps))))
+        exps.append(total - sum(exps))
+        coeffs[tuple(exps)] = draw(NONZERO)
+    return TruncatedSeries(variables, degree, coeffs)
+
+
+@given(rings(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_and_log_match_reference_routes(ring, data):
+    a = data.draw(series_in(*ring))
+    b = data.draw(series_in(*ring, lowest=1))
+    assert a * b == reference_mul(a, b)
+    assert log_one_over_one_minus(b) == reference_log_one_over_one_minus(b)
