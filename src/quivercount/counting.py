@@ -81,20 +81,29 @@ def cycle_log_coefficient(r: int, r2: int, s: int, s2: int) -> Fraction:
     likewise for j, with (i, j) = (0, 0) excluded.
     """
     sign = -1 if (r + r2 + s + s2) % 2 else 1
+    side_r = _side_multinomials(r, r2)
+    side_s = _side_multinomials(s, s2)
+    # the weight 1/(2(i + j)) depends on i + j only: sum the integer
+    # products per t = i + j, then add one Fraction per t
+    by_t: dict[int, int] = {}
+    for i, mi in side_r:
+        for j, mj in side_s:
+            if i or j:
+                by_t[i + j] = by_t.get(i + j, 0) + mi * mj
     total = Fraction(0)
-    for i in range((r + 1) // 2, r - r2 + 1):
-        mi = multinomial(2 * i, (i, 2 * i - r, r2, r - r2 - i))
-        if not mi:
-            continue
-        for j in range((s + 1) // 2, s - s2 + 1):
-            if i == 0 and j == 0:
-                continue
-            mj = multinomial(2 * j, (j, 2 * j - s, s2, s - s2 - j))
-            if not mj:
-                continue
-            term = Fraction(mi * mj, 2 * (i + j))
-            total += -term if (i + j) % 2 else term
+    for t, c in by_t.items():
+        total += Fraction(-c if t % 2 else c, 2 * t)
     return sign * total
+
+
+def _side_multinomials(r: int, r2: int) -> list[tuple[int, int]]:
+    """The nonzero ``(i, multinomial(2i, (i, 2i - r, r2, r - r2 - i)))``."""
+    out = []
+    for i in range((r + 1) // 2, r - r2 + 1):
+        m = multinomial(2 * i, (i, 2 * i - r, r2, r - r2 - i))
+        if m:
+            out.append((i, m))
+    return out
 
 
 def _check_refined_args(r: int, r2: int, s: int, s2: int) -> None:

@@ -3,10 +3,10 @@
 Each oracle deliberately recomputes its answer along a different route from
 the code under test: mutation on explicit arrow lists instead of the matrix
 update, isomorphism by trying every vertex bijection, class enumeration with
-no shortcuts, necklace counts by brute rotation, and series built from
-products over exponent tuples: logarithms as sums of powers, the rooted
-type A series by fixpoint iteration and the cycle construction as one
-logarithm per divisor.
+no shortcuts, the classifier's base cycle by listing every chordless cycle,
+necklace counts by brute rotation, and series built from products over
+exponent tuples: logarithms as sums of powers, the rooted type A series by
+fixpoint iteration and the cycle construction as one logarithm per divisor.
 """
 
 from __future__ import annotations
@@ -104,6 +104,35 @@ def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> Muta
                 depths[key] = d + 1
                 queue.append((q2, d + 1))
     return MutationClass(seed, members, depths)
+
+
+def reference_chordless_cycles(q: ExchangeQuiver):
+    """Yield the chordless cycles of length >= 3 in the underlying graph.
+
+    Each cycle is reported once, starting at its smallest vertex with the
+    smaller neighbor second.  A depth-first search over every chordless
+    path: exponential in the worst case, so for small quivers only.
+    """
+    n = q.n
+    b = q.b
+    adj = [frozenset(j for j in range(n) if b[i][j]) for i in range(n)]
+    for s in range(n):
+        stack = [[s, u] for u in sorted(adj[s]) if u > s]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            for x in adj[last]:
+                if x <= s or x in path:
+                    continue
+                if x in adj[s]:
+                    # closing edge; extending would leave a chord to s
+                    if len(path) >= 2 and path[1] < x:
+                        if all(x not in adj[y] for y in path[1:-1]):
+                            yield tuple(path) + (x,)
+                    continue
+                if any(x in adj[y] for y in path[:-1]):
+                    continue
+                stack.append(path + [x])
 
 
 def necklace_count(length: int, ones: int) -> int:

@@ -1,7 +1,8 @@
 import random
+import time
 from collections import Counter
 
-from oracles import all_quivers
+from oracles import all_quivers, reference_chordless_cycles
 from quivercount.canonical import canonical_key
 from quivercount.classify import (
     classify,
@@ -148,6 +149,27 @@ def test_classification_is_relabeling_invariant(data_dir):
     assert st.realization_1.as_tuple() == (3, 3, 4, 2)
 
 
+def _diamond_chain(d):
+    """A double arrow from hub 0 to hub d, closed by d oriented 4-cycles:
+    diamond k runs hub k -> p -> hub k + 1 -> q -> hub k.  Not annular, and
+    2^d chordless cycles run through the double arrow."""
+    arrows = [(0, d, 2)]
+    for k in range(d):
+        p, q = d + 1 + 2 * k, d + 2 + 2 * k
+        arrows += [(k, p), (p, k + 1), (k + 1, q), (q, k)]
+    return ExchangeQuiver.from_arrows(3 * d + 1, arrows)
+
+
+def test_cost_does_not_follow_the_number_of_chordless_cycles():
+    # listing every chordless cycle took about 1 s at d = 14 and grew about
+    # 2.3-fold per diamond
+    q = _diamond_chain(24)
+    assert q.n == 73
+    start = time.perf_counter()
+    assert classify(q) is None
+    assert time.perf_counter() - start < 1.0
+
+
 # -- whole-class sweeps --------------------------------------------------------
 
 
@@ -208,3 +230,34 @@ def test_classify_accepts_exactly_the_annular_classes_on_a_seeded_sample(
                 assert accepted == (canonical_key(q) in members), q.b
                 verdicts[accepted] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def _cycle_read(st):
+    """The base cycle ``classify`` read, as vertices in its traversal order;
+    (tail, head) for the double arrow."""
+    if len(st.base_cycle) == 2:
+        return st.base_cycle[0]
+    return tuple(
+        x if forward else y
+        for (x, y), (forward, _) in zip(st.base_cycle, st.elements)
+    )
+
+
+def _non_oriented_cycles(q):
+    """Double arrows as (tail, head), then the non-oriented chordless cycles
+    of single arrows, in the reference's order."""
+    b = q.b
+    found = [(i, j) for i in range(q.n) for j in range(q.n) if b[i][j] == 2]
+    for cyc in reference_chordless_cycles(q):
+        m = len(cyc)
+        signs = [b[cyc[t]][cyc[(t + 1) % m]] for t in range(m)]
+        if all(abs(x) == 1 for x in signs) and len(set(signs)) == 2:
+            found.append(cyc)
+    return found
+
+
+def test_base_cycle_is_the_unique_non_oriented_chordless_cycle(cycle_class):
+    for n in range(2, 9):
+        for r in range(1, n // 2 + 1):
+            for q in cycle_class(r, n - r).representatives():
+                assert _non_oriented_cycles(q) == [_cycle_read(classify(q))], q.b
