@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from quivercount.canonical import canonical_key
+from quivercount.counting import normalize_parameters
 from quivercount.quiver import ExchangeQuiver
 
 # Unused here since _base_cycle's single scan does their work, but kept as
@@ -272,8 +273,9 @@ def _components(q: ExchangeQuiver, vertices) -> list[set[int]]:
 
 def _rooted_key(q: ExchangeQuiver, comp, root) -> bytes:
     verts = sorted(comp)
-    sub = ExchangeQuiver.from_matrix(
-        [[q.b[u][v] for v in verts] for u in verts]
+    # a principal submatrix of a valid exchange matrix is one too
+    sub = ExchangeQuiver._trusted(
+        tuple(tuple(q.b[u][v] for v in verts) for u in verts)
     )
     colors = [0 if v == root else 1 for v in verts]
     return canonical_key(sub, colors)
@@ -409,19 +411,13 @@ def classify(q: ExchangeQuiver):
             s1 += plain
             s2 += cycles
 
-    params = RealizationParams(r1, r2, s1, s2)
-    swapped = params.swapped()
-    assert params.r + params.s == n
-    key_fwd = ((params.r, params.s), params.as_tuple())
-    key_rev = ((swapped.r, swapped.s), swapped.as_tuple())
-    first, second = (
-        (params, swapped) if key_fwd >= key_rev else (swapped, params)
-    )
+    first = RealizationParams(*normalize_parameters(r1, r2, s1, s2))
+    assert first.r + first.s == n
     return AtildeStructure(
         base_cycle=tuple((x, y) for x, y, _ in strands),
         attachments=tuple(attachments),
         realization_1=first,
-        realization_2=second,
+        realization_2=first.swapped(),
         elements=tuple(elements),
     )
 

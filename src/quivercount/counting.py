@@ -132,9 +132,13 @@ def refined_realization_count(r: int, r2: int, s: int, s2: int) -> int:
 
 def realization_count(r: int, s: int) -> int:
     """Number of realizations whose anticlockwise weight is r and clockwise
-    weight is s; symmetric in its arguments."""
-    if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
+    weight is s; symmetric in its arguments.
+
+    A zero weight is allowed: with every arrow one way the sum runs over the
+    divisors of ``gcd(0, s) = s``, the oriented-cycle count of :func:`a_tilde`.
+    """
+    if min(r, s) < 0 or r + s < 2:
+        raise ValueError("need r, s >= 0 with r + s >= 2 and max(r, s) >= 1")
     total = Fraction(0)
     for k in _divisors(gcd(r, s)):
         total += (
@@ -149,28 +153,19 @@ def a_tilde(r: int, s: int) -> int:
     """Number of quivers mutation equivalent to a non-oriented (r+s)-cycle
     with r arrows one way and s the other.
 
-    Arguments are normalized to r <= s.  For r = 0 this evaluates the
-    oriented-cycle specialization of the r != s sum; note the rank 4 case
-    is the one place that raw value differs from the true type D count,
+    Each quiver is an orbit of realizations under the flip of the annulus,
+    so by Burnside this is the average over the two realizations; only a
+    symmetric quiver, with r == s, is fixed.  Arguments are normalized to
+    r <= s.  For r = 0 this is the oriented-cycle count; note the rank 4
+    case is the one place that value differs from the true type D count,
     which :func:`d_n_count` handles.
     """
     if r > s:
         r, s = s, r
     if r < 0 or s < 1 or r + s < 2:
         raise ValueError("need r, s >= 0 with r + s >= 2 and max(r, s) >= 1")
-    if r == 0:
-        n = s
-        total = sum(
-            Fraction(euler_phi(k), 2 * n) * comb(2 * (n // k), n // k)
-            for k in _divisors(n)
-        )
-        return _as_int(total)
     if r == s:
-        inner = sum(
-            Fraction(euler_phi(k), 4 * r) * comb(2 * r // k, r // k) ** 2
-            for k in _divisors(r)
-        )
-        return _as_int((Fraction(comb(2 * r, r), 2) + inner) / 2)
+        return _as_int(Fraction(symmetric_count(r) + realization_count(r, r), 2))
     return realization_count(r, s)
 
 
@@ -198,9 +193,9 @@ def derived_class_count(r1: int, r2: int, s1: int, s2: int) -> int:
     per derived equivalence class of the associated algebras.
 
     The parameter pair is unordered; the count is invariant under swapping
-    (r1, r2) with (s1, s2).  The reflection-corrected branch applies exactly
-    when (r1, r2) == (s1, s2), where half the asymmetric expression would
-    double count the self-mirror quivers.
+    (r1, r2) with (s1, s2).  Like :func:`a_tilde` it is the average over
+    the two realizations (Burnside); only when (r1, r2) == (s1, s2) can the
+    flip fix a quiver, and the fixed ones are the symmetric quivers.
     """
     if min(r1, r2, s1, s2) < 0:
         raise ValueError("parameters must be nonnegative")
@@ -208,12 +203,10 @@ def derived_class_count(r1: int, r2: int, s1: int, s2: int) -> int:
     s = s1 + 2 * s2
     if r < 1 or s < 1:
         raise ValueError("need r1 + 2*r2 >= 1 and s1 + 2*s2 >= 1")
-    if (r1, r2) == (s1, s2):
-        head = _pow2(r1 - 2) * multinomial(r, (r2, r2, r1))
-        return _as_int(
-            head + Fraction(refined_realization_count(r, r2, r, r2), 2)
-        )
-    return refined_realization_count(r, r2, s, s2)
+    if (r1, r2) != (s1, s2):
+        return refined_realization_count(r, r2, s, s2)
+    fixed = symmetric_count_refined(r, r2)
+    return _as_int(Fraction(fixed + refined_realization_count(r, r2, r, r2), 2))
 
 
 def d_n_count(n: int) -> int:
@@ -254,7 +247,8 @@ def normalize_parameters(
     """Deterministic order for an unordered parameter pair.
 
     The side with the larger total weight comes first; ties fall back to
-    plain tuple comparison.  Matches the classifier's first realization.
+    plain tuple comparison.  :func:`quivercount.classify.classify` orders
+    its two realizations with it.
     """
     a = (r1, r2, s1, s2)
     bb = (s1, s2, r1, r2)

@@ -13,9 +13,9 @@ range is one rule of the two scale parameters ``n_max`` and ``degree``
 - ``class-size-atilde-r-s``, ``parameter-census-r-s``, ``partition-r-s``:
   r + s <= n_max
 - ``class-size-dynkin-d-n``: 4 <= n <= min(8, n_max)
-- ``symmetric-census-r``: r <= n_max // 2
+- ``symmetric-census-r``: r <= n_max // 2, each r2 cell and the total
 - ``marginalization-r-s``: r, s <= n_max - 2, in either order
-- ``series-*``: the five series identities at truncation degree ``degree``
+- ``series-*``: the six series identities at truncation degree ``degree``
 
 Enumerated classes and classifier censuses are memoised for the life of
 the process, so a class is enumerated and classified once however many
@@ -62,17 +62,17 @@ def dynkin_class(n: int):
 def _census(r: int, s: int):
     """Classifier sweep over the (r, s) class: the census of first
     realizations, of both realizations (one for a symmetric member), and
-    the number of symmetric members."""
+    of symmetric members by 3-cycles per side."""
     params = Counter()
     realizations = Counter()
-    symmetric = 0
+    symmetric = Counter()
     for q in cycle_class(r, s).representatives():
         st = classify(q)
         assert st is not None, "class member fell outside the annular family"
         params[st.realization_1.as_tuple()] += 1
         realizations[st.realization_1.as_tuple()] += 1
         if is_symmetric(st):
-            symmetric += 1
+            symmetric[st.realization_1.r2] += 1
         else:
             realizations[st.realization_2.as_tuple()] += 1
     return params, realizations, symmetric
@@ -130,8 +130,13 @@ def _parameter_census(r, s):
 
 def _symmetric_census(r):
     symmetric = _census(r, r)[2]
+    for r2 in range(r // 2 + 1):
+        got = symmetric[r2]
+        expected = counting.symmetric_count_refined(r, r2)
+        assert got == expected, f"r2 = {r2}: census {got}, formula {expected}"
+    total = sum(symmetric.values())
     expected = counting.symmetric_count(r)
-    assert symmetric == expected, f"census {symmetric}, formula {expected}"
+    assert total == expected, f"census {total}, formula {expected}"
 
 
 def _marginalization(r, s):
@@ -201,6 +206,28 @@ def _series_derivative(degree):
     )
 
 
+def _series_lists(degree):
+    # G = 1/(1 - B) lists the base-arrow blocks; G <- 1 + B*G fixes one
+    # more total degree per step
+    b = b_series(degree)
+    g = TruncatedSeries.constant(b.variables, degree, 1)
+    for _ in range(degree):
+        g = 1 + b * g
+    by_weight = Counter()
+    for (p, q, x, y), c in g.coeffs.items():
+        by_weight[p + q, x + y] += c
+    for r in range(degree + 1):
+        for r2 in range(min(r // 2, degree - r) + 1):
+            got = by_weight[r, r2]
+            expected = counting.list_count_refined(r, r2)
+            assert got == expected, f"weight {r}, r2 = {r2}: {got}, formula {expected}"
+        # the marker marginal is complete only while r + r//2 fits
+        if r + r // 2 <= degree:
+            got = sum(by_weight[r, r2] for r2 in range(r // 2 + 1))
+            expected = counting.list_count(r)
+            assert got == expected, f"weight {r}: {got}, formula {expected}"
+
+
 def _series_grid(degree):
     at = atilde_series(degree)
     for r in range(1, degree):
@@ -258,6 +285,7 @@ def iter_checks(n_max: int = 8, degree: int = 10):
         ("series-substitution-identity", partial(_series_substitution, degree)),
         ("series-derivative-identity", partial(_series_derivative, degree)),
         ("series-coefficient-grid", partial(_series_grid, degree)),
+        ("series-list-coefficients", partial(_series_lists, degree)),
     ]
     return checks
 

@@ -90,12 +90,12 @@ def test_criterion_4_refined_partition(capsys):
 
 def test_criterion_5_symmetric_census(capsys):
     failures = _run_registry(("symmetric-census-",))
-    _report(capsys, 5, "coinciding-realization censuses match for r <= 5", failures)
+    _report(capsys, 5, "coinciding-realization censuses match per r2 cell for r <= 5", failures)
 
 
 def test_criterion_6_series_oracle_suite(capsys):
     failures = _run_registry(("series-",))
-    _report(capsys, 6, "series identities hold exactly to total degree 12", failures)
+    _report(capsys, 6, "series identities and list counts hold exactly to total degree 12", failures)
 
 
 def test_criterion_7_property_tests(capsys):

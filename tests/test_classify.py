@@ -173,14 +173,6 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
 # -- whole-class sweeps --------------------------------------------------------
 
 
-def test_balanced_four_cycle_census(cycle_class):
-    mc = cycle_class(2, 2)
-    census = Counter(
-        classify(q).realization_1.as_tuple() for q in mc.representatives()
-    )
-    assert census == {(2, 0, 2, 0): 2, (0, 1, 0, 1): 1, (2, 0, 0, 1): 1}
-
-
 def test_classify_accepts_exactly_the_annular_classes(cycle_class):
     # both directions, exhaustively: every connected quiver on 2 to 4
     # vertices with entries in -2..2 is accepted exactly when it lies in an

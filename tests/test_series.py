@@ -194,17 +194,6 @@ def test_cycle_construction_reproduces_necklace_counts():
             assert got == necklace_count(length, ones), (length, ones)
 
 
-def test_annular_series_basic_coefficients():
-    at = atilde_series(10)
-    assert at.coefficient(p=1, q=1) == 1
-    marginal = sum(
-        at.coefficient(p=2, q=2, x=r2, y=s2)
-        for r2 in range(2)
-        for s2 in range(2)
-    )
-    assert marginal == counting.realization_count(2, 2) == 5
-
-
 def test_annular_series_marker_support():
     at = atilde_series(10)
     for (er, es, ex, ey), c in at.coeffs.items():
