@@ -12,12 +12,14 @@ swaps the two sides, so every quiver has at most two distinct realizations.
 Recognition first finds the one candidate cycle by peeling: leaves on a
 single arrow and degree 2 vertices that close an oriented triangle are
 removed until nothing more can be, and an annular quiver is left with
-exactly its base cycle (see ``_base_cycle``).  Each attachment is then
-parsed against the recursive description of rooted type A quivers, and the
-quiver is rebuilt from the cycle and its attachments and compared with the
-input.  The peel may reject early, but only that comparison accepts, so
-the peel has to find the right cycle on members alone, and no input makes
-the search for it exponential.
+exactly its base cycle (see ``_base_cycle``).  Each base arrow then takes
+at most one apex, and from each apex one iterative walk follows the
+recursive description of rooted type A quivers over the whole quiver, each
+vertex it reaches taking every arrow it has.  The account accepts only if
+every vertex was visited: then every arrow is a base arrow, a triangle
+arrow or an arrow of an attachment.  The peel may reject early, but only
+the account accepts, so the peel has to find the right cycle on members
+alone, and no input makes the search for it exponential.
 """
 
 from __future__ import annotations
@@ -94,6 +96,55 @@ class AtildeStructure:
     elements: tuple[tuple[int, bytes], ...]
 
 
+def _pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _walk_rooted(b, adj, root, visited, consumed):
+    """Walk the rooted type A quiver hanging from ``root``, or return None.
+
+    ``root`` must already be in ``visited``; ``consumed`` holds the arrows
+    taken so far, as ``_pair``s.  Depth first, out-vertex before in-vertex,
+    each vertex reached takes all of its untaken arrows: none, one single
+    arrow to a fresh vertex, or two single arrows to fresh vertices that
+    close an oriented 3-cycle.  Anything else, a step onto a visited vertex
+    included, fails the walk.  Returns (plain arrows, 3-cycles, vertices
+    reached), and leaves the vertices in ``visited`` and the arrows in
+    ``consumed``.
+    """
+    plain = cycles = 0
+    reached = [root]
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        inc = [u for u in adj[x] if _pair(x, u) not in consumed]
+        if not inc:
+            continue
+        if any(u in visited for u in inc):
+            return None
+        row = b[x]
+        if len(inc) == 1:
+            (w,) = inc
+            if abs(row[w]) != 1:
+                return None
+            consumed.add(_pair(x, w))
+            plain += 1
+            fresh = inc
+        elif len(inc) == 2:
+            out_, in_ = inc if row[inc[0]] > 0 else inc[::-1]
+            if row[out_] != 1 or row[in_] != -1 or b[out_][in_] != 1:
+                return None  # not an oriented 3-cycle of single arrows
+            consumed.update((_pair(x, out_), _pair(x, in_), _pair(out_, in_)))
+            cycles += 1
+            fresh = [in_, out_]  # the out-vertex is popped first
+        else:
+            return None
+        visited.update(fresh)
+        reached += fresh
+        stack += fresh
+    return plain, cycles, reached
+
+
 def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
     """Parse a rooted type A quiver, returning (plain arrows, 3-cycles).
 
@@ -107,90 +158,40 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
     vs = set(vertices) if vertices is not None else set(range(q.n))
     if root not in vs:
         raise ValueError("root must belong to the vertex set")
-    adj: dict[int, list[int]] = {v: [] for v in vs}
-    nedges = 0
-    for u in vs:
-        for v in vs:
-            if u < v and b[u][v]:
-                if abs(b[u][v]) != 1:
-                    return None
-                adj[u].append(v)
-                adj[v].append(u)
-                nedges += 1
-    consumed: set[tuple[int, int]] = set()
+    adj = {u: [v for v in vs if b[u][v]] for u in vs}
     visited = {root}
-    plain = 0
-    cycles = 0
-
-    def pair(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def walk(x) -> bool:
-        nonlocal plain, cycles
-        inc = [u for u in adj[x] if pair(x, u) not in consumed]
-        if not inc:
-            return True
-        if len(inc) == 1:
-            w = inc[0]
-            if w in visited:
-                return False
-            consumed.add(pair(x, w))
-            visited.add(w)
-            plain += 1
-            return walk(w)
-        if len(inc) == 2:
-            u, v = inc
-            if b[x][u] == 1 and b[v][x] == 1:
-                out_, in_ = u, v
-            elif b[x][v] == 1 and b[u][x] == 1:
-                out_, in_ = v, u
-            else:
-                return False  # both arrows point the same way at x
-            if out_ in visited or in_ in visited:
-                return False
-            if b[out_][in_] != 1:
-                return False  # the closing arrow must complete the oriented cycle
-            consumed.add(pair(x, out_))
-            consumed.add(pair(x, in_))
-            consumed.add(pair(out_, in_))
-            visited.add(out_)
-            visited.add(in_)
-            cycles += 1
-            return walk(out_) and walk(in_)
-        return False
-
-    if not walk(root):
+    consumed: set[tuple[int, int]] = set()
+    walked = _walk_rooted(b, adj, root, visited, consumed)
+    if walked is None or visited != vs:
         return None
-    if visited != vs or len(consumed) != nedges:
+    if 2 * len(consumed) != sum(map(len, adj.values())):
         return None
-    return plain, cycles
+    return walked[:2]
 
 
-def _base_cycle(q: ExchangeQuiver) -> Optional[tuple[int, ...]]:
-    """The one candidate non-oriented cycle of ``q``, or None.
+def _base_cycle(b, adj) -> Optional[tuple[int, ...]]:
+    """The one candidate non-oriented cycle of the matrix ``b``, or None.
 
-    One pass over the matrix builds the neighbour sets and rejects a
-    multiplicity above 2, a second double arrow or a disconnected quiver.
-    Then two kinds of vertex are peeled while any is left: a leaf on a
-    single arrow, and a vertex of degree 2 whose two single arrows close an
-    oriented triangle with an arrow (possibly the double arrow) between its
-    neighbours.  Both removals keep the rest connected.  The peel never
-    removes a vertex of the base cycle of an annular quiver and always
-    finds one more attachment vertex to remove, so on an annular quiver
-    exactly the base cycle is left.  What is left must be the double arrow,
-    returned as (tail, head), or a chordless cycle of single arrows that is
-    not oriented, read from its least vertex with the smaller neighbour
-    second.  The caller's rebuild-and-compare decides membership, so the
-    candidate needs no further proof here.
+    ``adj`` holds each vertex's neighbour set and is left as it is.  One
+    pass over the matrix rejects a multiplicity above 2 or a second double
+    arrow.  Then two kinds of vertex are peeled while any is left: a leaf
+    on a single arrow, and a vertex of degree 2 whose two single arrows
+    close an oriented triangle with an arrow (possibly the double arrow)
+    between its neighbours.  The peel never removes a vertex of the base
+    cycle of an annular quiver and always finds one more attachment vertex
+    to remove, so on an annular quiver exactly the base cycle is left.  A
+    peeled vertex always has a neighbour, so on a disconnected quiver some
+    other component keeps a vertex alive too.  What is left must be the
+    double arrow, returned as (tail, head), or a chordless cycle of single
+    arrows that is not oriented, read from its least vertex with the
+    smaller neighbour second.  The caller's account of every vertex decides
+    membership, so the candidate needs no further proof here.
     """
-    n = q.n
+    n = len(b)
     if n < 2:
         return None
-    b = q.b
-    adj = []
     double = []
     for i, row in enumerate(b):
-        adj.append({j for j, x in enumerate(row) if x})
         if max(row) > 1 or min(row) < -1:
             for j, x in enumerate(row):
                 if x > 2 or x < -2:
@@ -199,16 +200,8 @@ def _base_cycle(q: ExchangeQuiver) -> Optional[tuple[int, ...]]:
                     double.append((i, j))
     if len(double) > 1:
         return None
-    seen = {0}
-    stack = [0]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != n:
-        return None
 
+    adj = [set(nbrs) for nbrs in adj]  # the peel's own copy
     alive = set(range(n))
     stack = [v for v in range(n) if len(adj[v]) <= 2]
     while stack:
@@ -253,24 +246,6 @@ def _base_cycle(q: ExchangeQuiver) -> Optional[tuple[int, ...]]:
     return tuple(cyc)
 
 
-def _components(q: ExchangeQuiver, vertices) -> list[set[int]]:
-    remaining = set(vertices)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in remaining:
-                if u not in comp and q.b[v][u]:
-                    comp.add(u)
-                    stack.append(u)
-        remaining -= comp
-        comps.append(comp)
-    return comps
-
-
 def _rooted_key(q: ExchangeQuiver, comp, root) -> bytes:
     verts = sorted(comp)
     # a principal submatrix of a valid exchange matrix is one too
@@ -288,17 +263,19 @@ def classify(q: ExchangeQuiver):
     of other mutation classes (all cycles oriented, as in type A or D), and
     arbitrary quivers outside the family.
 
-    Cost on n vertices: one O(n^2) scan of the matrix, a peel linear in n,
-    O(n^2) for the apex search, the attachment parses and the rebuild, then
-    one rooted canonical key per attachment, each on a subquiver already
-    parsed as rooted type A.
+    Cost on n vertices: one O(n^2) scan of the matrix for the neighbour
+    sets and multiplicities, a peel linear in n, apex picks and walks that
+    read each arrow a bounded number of times, then one rooted canonical
+    key per attachment, each on a subquiver already walked as rooted type
+    A.  Nothing recurses, so the cost holds up to the vertex ceiling of
+    ``loads``.
     """
-    cyc = _base_cycle(q)
+    b = q.b
+    adj = [{j for j, x in enumerate(row) if x} for row in b]
+    cyc = _base_cycle(b, adj)
     if cyc is None:
         return None
     n = q.n
-    b = q.b
-    cycle_set = set(cyc)
     m = len(cyc)
 
     # base arrows in traversal order: (tail, head, follows_traversal)
@@ -315,84 +292,46 @@ def classify(q: ExchangeQuiver):
             else:
                 strands.append((v, u, False))
 
-    # apex candidates per strand: z off the cycle with head -> z -> tail
-    attach_z: list[Optional[int]] = [None] * len(strands)
-    if m == 2:
-        x, y, _ = strands[0]
-        cands = sorted(
-            z
-            for z in range(n)
-            if z not in cycle_set and b[y][z] >= 1 and b[z][x] >= 1
+    # each strand takes the least untaken apex z off the cycle with
+    # head -> z -> tail; a surplus apex is left for the account to reject
+    visited = set(cyc)
+    consumed: set[tuple[int, int]] = set()
+    apexes: list[Optional[int]] = []
+    for x, y, _ in strands:
+        z = min(
+            (z for z in adj[y] if z not in visited and b[y][z] > 0 and b[z][x] > 0),
+            default=None,
         )
-        if len(cands) > 2:
-            return None
-        for slot, z in enumerate(cands):
-            attach_z[slot] = z
-    else:
-        for t, (x, y, _) in enumerate(strands):
-            cands = [
-                z
-                for z in range(n)
-                if z not in cycle_set and b[y][z] >= 1 and b[z][x] >= 1
-            ]
-            if len(cands) > 1:
+        apexes.append(z)
+        if z is not None:
+            visited.add(z)
+            consumed.update((_pair(y, z), _pair(z, x)))
+
+    walks = {}
+    for z in apexes:
+        if z is not None:
+            walks[z] = _walk_rooted(b, adj, z, visited, consumed)
+            if walks[z] is None:
                 return None
-            if cands:
-                attach_z[t] = cands[0]
-
-    apexes = [z for z in attach_z if z is not None]
-    if len(set(apexes)) != len(apexes):
-        return None
-
-    comps = _components(q, [v for v in range(n) if v not in cycle_set])
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    used_comps = [comp_of[z] for z in apexes]
-    if len(set(used_comps)) != len(used_comps) or set(used_comps) != set(
-        range(len(comps))
-    ):
+    # A walked vertex took every arrow it has and the peel left the cycle
+    # chordless, so once every vertex is visited every arrow is a base
+    # arrow, a triangle arrow or an arrow of an attachment.  The account
+    # reads no base or triangle arrow's multiplicity: _base_cycle's scan
+    # has already allowed 2 on the double arrow alone.
+    if len(visited) != n:
         return None
 
     attachments: list[Optional[Attachment]] = [None] * len(strands)
-    for t, z in enumerate(attach_z):
+    for t, z in enumerate(apexes):
         if z is None:
             continue
-        comp = comps[comp_of[z]]
-        parsed = parse_rooted_type_a(q, z, comp)
-        if parsed is None:
-            return None
-        plain, cycles = parsed
+        plain, cycles, verts = walks[z]
         attachments[t] = Attachment(
             root=z,
             plain_arrows=plain,
             cycle_count=cycles,
-            key=_rooted_key(q, comp, z),
+            key=_rooted_key(q, verts, z),
         )
-
-    # nothing else may touch the cycle: rebuild and compare
-    expected = [[0] * n for _ in range(n)]
-    for x, y, _ in strands:
-        expected[x][y] += 1
-        expected[y][x] -= 1
-    for t, att in enumerate(attachments):
-        if att is None:
-            continue
-        x, y, _ = strands[t]
-        z = att.root
-        expected[y][z] += 1
-        expected[z][y] -= 1
-        expected[z][x] += 1
-        expected[x][z] -= 1
-    for comp in comps:
-        for u in comp:
-            for v in comp:
-                if u < v:
-                    expected[u][v] = b[u][v]
-                    expected[v][u] = b[v][u]
-    if any(tuple(expected[i]) != b[i] for i in range(n)):
-        return None
 
     r1 = r2 = s1 = s2 = 0
     elements = []

@@ -45,6 +45,10 @@ from quivercount.series import (
 MIN_N_MAX = 2
 MIN_DEGREE = 4
 
+# What a failing check raises: a broken identity, or an integrality gate of
+# ``counting`` firing on a count that is not a whole number.
+CHECK_FAILURES = (AssertionError, ArithmeticError)
+
 
 @cache
 def cycle_class(r: int, s: int):
@@ -256,9 +260,9 @@ def _series_grid(degree):
 def iter_checks(n_max: int = 8, degree: int = 10):
     """List the checks at this scale as (name, thunk) pairs.
 
-    Thunks raise AssertionError on failure.  Raises ValueError for a scale
-    below ``MIN_N_MAX`` or ``MIN_DEGREE``, where some family would pass
-    without testing anything.
+    Thunks raise one of ``CHECK_FAILURES`` on failure.  Raises ValueError
+    for a scale below ``MIN_N_MAX`` or ``MIN_DEGREE``, where some family
+    would pass without testing anything.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"--n-max must be at least {MIN_N_MAX}, got {n_max}")
@@ -295,7 +299,7 @@ def run_verification(n_max: int = 8, degree: int = 10, log=print):
     for name, thunk in iter_checks(n_max, degree):
         try:
             thunk()
-        except AssertionError as exc:
+        except CHECK_FAILURES as exc:
             log(f"FAIL {name}: {exc}")
             return name
         log(f"ok {name}")

@@ -16,7 +16,7 @@ from quivercount import counting
 from quivercount.canonical import canonical_key
 from quivercount.cli import run
 from quivercount.quiver import mutate, relabel
-from quivercount.verify import iter_checks
+from quivercount.verify import CHECK_FAILURES, iter_checks
 
 CHECKS = iter_checks(10, 12)
 
@@ -62,7 +62,7 @@ def _run_registry(prefixes):
     for name, thunk in selected:
         try:
             thunk()
-        except AssertionError as exc:
+        except CHECK_FAILURES as exc:
             failures.append(f"{name}: {exc}")
     return failures
 

@@ -15,7 +15,6 @@ from quivercount.quiver import (
     mutate,
     read_quiver,
     relabel,
-    underlying_graph_connected,
 )
 
 
@@ -59,6 +58,12 @@ def test_parse_rejects_long_cycle_and_double_arrow():
     assert parse_rooted_type_a(square, 0) is None
     double = ExchangeQuiver.from_arrows(2, [(0, 1, 2)])
     assert parse_rooted_type_a(double, 0) is None
+
+
+def test_parse_walks_past_the_recursion_limit():
+    n = 1500
+    path = ExchangeQuiver.from_arrows(n, [(i, i + 1) for i in range(n - 1)])
+    assert parse_rooted_type_a(path, 0) == (n - 1, 0)
 
 
 def test_parse_restricted_to_component():
@@ -174,17 +179,16 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
 
 
 def test_classify_accepts_exactly_the_annular_classes(cycle_class):
-    # both directions, exhaustively: every connected quiver on 2 to 4
-    # vertices with entries in -2..2 is accepted exactly when it lies in an
-    # enumerated annular class of its rank
+    # both directions, exhaustively: every quiver on 2 to 4 vertices with
+    # entries in -2..2, disconnected ones included, is accepted exactly
+    # when it lies in an enumerated annular class of its rank
     for n in (2, 3, 4):
         members = set()
         for r in range(1, n // 2 + 1):
             members |= set(cycle_class(r, n - r).members)
         for q in all_quivers(n, range(-2, 3)):
-            if underlying_graph_connected(q):
-                accepted = classify(q) is not None
-                assert accepted == (canonical_key(q) in members), q.b
+            accepted = classify(q) is not None
+            assert accepted == (canonical_key(q) in members), q.b
 
 
 def _walk_sample(rng, n):
@@ -217,10 +221,9 @@ def test_classify_accepts_exactly_the_annular_classes_on_a_seeded_sample(
         for r in range(1, n // 2 + 1):
             members |= set(cycle_class(r, n - r).members)
         for q in _walk_sample(rng, n):
-            if underlying_graph_connected(q):
-                accepted = classify(q) is not None
-                assert accepted == (canonical_key(q) in members), q.b
-                verdicts[accepted] += 1
+            accepted = classify(q) is not None
+            assert accepted == (canonical_key(q) in members), q.b
+            verdicts[accepted] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 

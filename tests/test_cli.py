@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,27 @@ def test_classify_non_annular(capsys, tmp_path):
     assert set(payload) == {"atilde", "r1", "r2", "s1", "s2", "r", "s", "symmetric"}
 
 
+def test_classify_at_the_vertex_ceiling(capsys, tmp_path):
+    # a double arrow, one 3-cycle on it and a 997-arrow tail from its apex:
+    # 1,000 vertices, the most ``loads`` reads
+    arrows = [(0, 1, 2), (1, 2), (2, 0)] + [(i, i + 1) for i in range(2, 999)]
+    path = tmp_path / "ceiling.quiver"
+    write_quiver(ExchangeQuiver.from_arrows(1000, arrows), path)
+    start = time.perf_counter()
+    assert run(["classify", "--file", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert json.loads(capsys.readouterr().out) == {
+        "atilde": True,
+        "r1": 997,
+        "r2": 1,
+        "s1": 1,
+        "s2": 0,
+        "r": 999,
+        "s": 1,
+        "symmetric": False,
+    }
+
+
 def test_classify_missing_file(capsys, tmp_path):
     assert run(["classify", "--file", str(tmp_path / "absent.quiver")]) == 2
 
@@ -164,15 +186,27 @@ def test_verify_small_run_passes(capsys):
     assert "ok class-size-atilde-2-2" in out
 
 
-def test_verify_failure_names_first_identity(capsys, monkeypatch):
+def _off_by_one(count):
+    return count + 1
+
+
+def _not_an_integer(count):
+    raise ArithmeticError(f"expected an integer, got {count}/2")
+
+
+@pytest.mark.parametrize(
+    "fault", [_off_by_one, _not_an_integer], ids=["off-by-one", "not-an-integer"]
+)
+def test_verify_failure_names_first_identity(capsys, monkeypatch, fault):
     import quivercount.counting as counting_module
 
     real = counting_module.a_tilde
 
-    def lying_a_tilde(r, s):
-        return real(r, s) + (1 if (r, s) == (1, 1) else 0)
+    def faulty_a_tilde(r, s):
+        count = real(r, s)
+        return fault(count) if (r, s) == (1, 1) else count
 
-    monkeypatch.setattr(counting_module, "a_tilde", lying_a_tilde)
+    monkeypatch.setattr(counting_module, "a_tilde", faulty_a_tilde)
     assert run(["verify", "--n-max", "2", "--degree", "4"]) == 1
     captured = capsys.readouterr()
     assert "FAIL class-size-atilde-1-1" in captured.out
