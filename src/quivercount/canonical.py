@@ -13,6 +13,12 @@ which keeps degenerate highly symmetric inputs from exploding.  When
 refinement already gives every vertex its own color, the ordering is forced
 and the search is skipped; this is the common case for quivers met during
 class enumeration, and the key bytes are the same either way.
+
+:func:`canonical_labeling` also returns the ``order`` behind its key:
+``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
+canonical matrix.  Two quivers with equal keys are therefore matched by the
+isomorphism ``order_1[p] -> order_2[p]``, which the enumerator uses to carry
+what it knows about one to the other.
 """
 
 from __future__ import annotations
@@ -54,23 +60,31 @@ def _signatures(adj, colors):
     ]
 
 
-def _forced_labeling(b, colors):
-    """``flat`` of the only ordering a discrete coloring admits.
-
-    Color ``c`` takes position ``c``; this is what :func:`_min_labeling`
-    returns for such a coloring, without its search.
-    """
+def _forced_order(colors):
+    """The only ordering a discrete coloring admits: color ``c`` at position ``c``."""
     order = [0] * len(colors)
     for v, c in enumerate(colors):
         order[c] = v
+    return order
+
+
+def _flat(b, order):
+    """Lower triangle of ``b`` relabeled by ``order``, read row by row."""
     return [b[v][u] for p, v in enumerate(order) for u in order[:p]]
+
+
+def _forced_labeling(b, colors):
+    """``flat`` of the forced ordering of a discrete coloring: what
+    :func:`_min_labeling` returns for such a coloring, without its search."""
+    return _flat(b, _forced_order(colors))
 
 
 def _min_labeling(b, colors):
     """Least relabeled matrix over orderings listing color classes in order.
 
-    Returns ``(flat, slots)`` where ``flat`` is the lower triangle of the
-    minimal matrix read row by row and ``slots`` the color of each position.
+    Returns ``(flat, slots, order)`` where ``flat`` is the lower triangle of
+    the minimal matrix read row by row, ``slots`` the color of each position
+    and ``order`` the vertex at each position of one minimal ordering.
     """
     n = len(b)
     slots = sorted(colors)
@@ -79,16 +93,18 @@ def _min_labeling(b, colors):
         by_color.setdefault(c, []).append(v)
 
     best: list[int] | None = None
+    best_order: list[int] = []
     placed: list[int] = []
     used = [False] * n
     flat: list[int] = []
 
     def rec(tight: bool) -> None:
-        nonlocal best
+        nonlocal best, best_order
         p = len(placed)
         if p == n:
             if best is None or flat < best:
                 best = flat.copy()
+                best_order = placed.copy()
             return
         reps: dict[tuple[int, ...], int] = {}
         for v in by_color[slots[p]]:
@@ -116,7 +132,7 @@ def _min_labeling(b, colors):
 
     rec(True)
     assert best is not None
-    return best, slots
+    return best, slots, best_order
 
 
 def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> bytes:
@@ -128,6 +144,20 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
     those preserving the given vertex classes; rooted subquivers pass the
     root as a separate color.
     """
+    return canonical_labeling(q, colors)[0]
+
+
+def canonical_labeling(
+    q: ExchangeQuiver, colors: Sequence[int] | None = None
+) -> tuple[bytes, list[int]]:
+    """``(key, order)``: :func:`canonical_key` and the ordering it encodes.
+
+    ``order[p]`` is the vertex of ``q`` at position ``p`` of the canonical
+    matrix, so ``q.b[order[p]][order[p']]`` is that matrix's entry
+    ``(p, p')``.  When two quivers have equal keys, ``order_1[p] ->
+    order_2[p]`` is an isomorphism from the first onto the second that
+    respects ``colors``.
+    """
     n = q.n
     if colors is None:
         init = [0] * n
@@ -136,18 +166,20 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
         if len(init) != n:
             raise ValueError("colors must assign one class per vertex")
     if n == 0:
-        return b"0||"
+        return b"0||", []
     b = q.b
     adj = [[(u, e) for u, e in enumerate(row) if e] for row in b]
     refined = _refine(adj, init)
     if len(set(refined)) == n:
         slots = range(n)
-        flat = _forced_labeling(b, refined)
+        order = _forced_order(refined)
+        flat = _flat(b, order)
     else:
-        flat, slots = _min_labeling(b, refined)
-    return "{}|{}|{}".format(
+        flat, slots, order = _min_labeling(b, refined)
+    key = "{}|{}|{}".format(
         n, ",".join(map(str, slots)), ",".join(map(str, flat))
     ).encode("ascii")
+    return key, order
 
 
 def are_isomorphic(q1: ExchangeQuiver, q2: ExchangeQuiver) -> bool:

@@ -7,13 +7,25 @@ on a non-oriented cycle) are finite with arrow multiplicities at most 2, so
 the walk terminates; anything that drives a multiplicity above the cap
 aborts loudly instead of silently corrupting the count.
 
-Three shortcuts keep the walk from canonicalizing what it already knows,
-without changing its members, depths or stored representatives.  Mutation
-is an involution, so a member is never mutated back along the vertex that
-discovered it.  A mutated matrix equal to a stored member's matrix (as
-around commuting squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is
-skipped before its key is computed.  And since a member is within the cap,
-only the entries a mutation changed are checked against it.
+Four shortcuts keep the walk from canonicalizing what it already knows,
+without changing its members, depths, stored representatives or the point
+where it stops on the cap.  The first three only skip mutations whose
+result is a known member, which is within the cap.
+
+- Mutation is an involution, so a member is never mutated back along the
+  vertex that discovered it: that gives its parent.
+- A mutated matrix equal to a stored member's matrix (as around commuting
+  squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is skipped before
+  its key is computed.
+- Every other edge of the exchange graph that leads back to a known member
+  is skipped too.  Say X = mu_k(q) has the key of a member N that still
+  waits in the queue, or of q itself.  The two canonical orders give an
+  isomorphism sigma: X -> N with sigma(order_X[p]) = order_N[p], so
+  mu_sigma(k)(N) ~ mu_k(X) = q, and N is not mutated at sigma(k) (q only
+  when sigma(k) comes after k).  The parent edge and an exact repeat of a
+  queued member are the cases where sigma is the identity.
+- Since a member is within the cap, only the entries a mutation changed are
+  checked against it.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
-from quivercount.canonical import canonical_key
+from quivercount.canonical import canonical_key, canonical_labeling
 from quivercount.quiver import (
     ExchangeQuiver,
     max_multiplicity,
@@ -37,15 +49,20 @@ class CapExceeded(RuntimeError):
     """A quiver in the walk exceeded the arrow multiplicity cap.
 
     Signals a seed outside the finite-multiplicity families this tool
-    targets, or a cap set too low.
+    targets, or a cap set too low.  ``quiver`` is the offending quiver and
+    ``depth`` its distance from the seed in the walk, so the failure can be
+    reproduced from the seed.
     """
 
-    def __init__(self, multiplicity: int, cap: int):
+    def __init__(self, multiplicity: int, cap: int, depth: int, quiver: ExchangeQuiver):
         super().__init__(
             f"arrow multiplicity {multiplicity} exceeds the cap {cap}"
+            f" at depth {depth} of the walk"
         )
         self.multiplicity = multiplicity
         self.cap = cap
+        self.depth = depth
+        self.quiver = quiver
 
 
 @dataclass
@@ -87,30 +104,45 @@ def enumerate_class(
         raise ValueError("seed quiver must be connected")
     m0 = max_multiplicity(seed)
     if m0 > multiplicity_cap:
-        raise CapExceeded(m0, multiplicity_cap)
-    key0 = canonical_key(seed)
+        raise CapExceeded(m0, multiplicity_cap, 0, seed)
+    key0, order0 = canonical_labeling(seed)
     members = {key0: seed}
     depths = {key0: 0}
-    known = {seed.b}  # matrices of the stored members, shared, not copied
-    # queue entries carry the vertex whose mutation discovered the member
-    queue: deque[tuple[ExchangeQuiver, int, int]] = deque([(seed, 0, -1)])
+    known = {seed.b: key0}  # stored members' matrices, shared, not copied
+    # members queued or being expanded: key -> (canonical order, vertices
+    # not to mutate)
+    pending = {key0: (order0, set())}
+    queue = deque([key0])
     while queue:
-        q, d, back = queue.popleft()
+        key = queue.popleft()
+        q, d = members[key], depths[key]
+        # kept pending while q is expanded: mu_k(q) ~ q may add a later vertex
+        skip = pending[key][1]
         for k in range(q.n):
-            if k == back:
-                continue  # mutation is an involution: this is the parent
+            if k in skip:
+                continue  # this mutation gives back a known member
             q2 = mutate(q, k)
             m = _changed_multiplicity(q.b[k], q2.b)
             if m > multiplicity_cap:
-                raise CapExceeded(m, multiplicity_cap)
-            if q2.b in known:
+                raise CapExceeded(m, multiplicity_cap, d + 1, q2)
+            key2 = known.get(q2.b)
+            if key2 is not None:
+                entry = pending.get(key2)
+                if entry is not None:
+                    entry[1].add(k)  # sigma is the identity
                 continue
-            key = canonical_key(q2)
-            if key not in members:
-                members[key] = q2
-                depths[key] = d + 1
-                known.add(q2.b)
-                queue.append((q2, d + 1, k))
+            key2, order2 = canonical_labeling(q2)
+            entry = pending.get(key2)
+            if entry is not None:
+                order_n, skip_n = entry
+                skip_n.add(order_n[order2.index(k)])  # sigma(k)
+            elif key2 not in members:
+                members[key2] = q2
+                depths[key2] = d + 1
+                known[q2.b] = key2
+                pending[key2] = (order2, {k})
+                queue.append(key2)
+        del pending[key]
     return MutationClass(seed, members, depths)
 
 

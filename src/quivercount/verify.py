@@ -12,7 +12,7 @@ range is one rule of the two scale parameters ``n_max`` and ``degree``
 
 - ``class-size-atilde-r-s``, ``parameter-census-r-s``, ``partition-r-s``:
   r + s <= n_max
-- ``class-size-dynkin-d-n``: 4 <= n <= min(8, n_max)
+- ``class-size-dynkin-d-n``: 4 <= n <= n_max
 - ``symmetric-census-r``: r <= n_max // 2, each r2 cell and the total
 - ``marginalization-r-s``: r, s <= n_max - 2, in either order
 - ``series-*``: the six series identities at truncation degree ``degree``
@@ -272,7 +272,7 @@ def iter_checks(n_max: int = 8, degree: int = 10):
     checks = []
     for r, s in weights:
         checks.append((f"class-size-atilde-{r}-{s}", partial(_class_sizes, r, s)))
-    for n in range(4, min(8, n_max) + 1):
+    for n in range(4, n_max + 1):
         checks.append((f"class-size-dynkin-d-{n}", partial(_dynkin_size, n)))
     for r, s in weights:
         checks.append((f"parameter-census-{r}-{s}", partial(_parameter_census, r, s)))

@@ -86,7 +86,7 @@ def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> Muta
     """
     m0 = max_multiplicity(seed)
     if m0 > multiplicity_cap:
-        raise CapExceeded(m0, multiplicity_cap)
+        raise CapExceeded(m0, multiplicity_cap, 0, seed)
     key0 = canonical_key(seed)
     members = {key0: seed}
     depths = {key0: 0}
@@ -97,7 +97,7 @@ def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> Muta
             q2 = mutate_arrow_list(q, k)
             m = max_multiplicity(q2)
             if m > multiplicity_cap:
-                raise CapExceeded(m, multiplicity_cap)
+                raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             key = canonical_key(q2)
             if key not in members:
                 members[key] = q2

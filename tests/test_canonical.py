@@ -12,6 +12,7 @@ from quivercount.canonical import (
     _refine,
     are_isomorphic,
     canonical_key,
+    canonical_labeling,
 )
 from quivercount.mutation_class import seed_cycle, seed_dynkin_d
 from quivercount.quiver import ExchangeQuiver, relabel
@@ -55,6 +56,25 @@ def test_forced_labeling_matches_search_on_discrete_colorings(q):
     colors = _refine(adj, [0] * q.n)
     assume(len(set(colors)) == q.n)
     assert _forced_labeling(q.b, colors) == _min_labeling(q.b, colors)[0]
+
+
+@given(quivers(max_n=7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_reproduces_the_key(q, data):
+    # position p of the canonical matrix holds vertex order[p], so moving
+    # each vertex to its position gives the matrix the key encodes
+    colors = data.draw(
+        st.none() | st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)
+    )
+    key, order = canonical_labeling(q, colors)
+    assert key == canonical_key(q, colors)
+    assert sorted(order) == list(range(q.n))
+    perm = [0] * q.n
+    for p, v in enumerate(order):
+        perm[v] = p
+    b = relabel(q, perm).b
+    flat = [b[p][u] for p in range(q.n) for u in range(p)]
+    assert key.split(b"|")[2] == ",".join(map(str, flat)).encode("ascii")
 
 
 def test_relabeled_paths_share_a_key():

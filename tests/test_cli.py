@@ -110,6 +110,15 @@ def test_enumerate_cap_exceeded_exits_three(capsys, tmp_path):
     assert run(["enumerate", "--seed", str(seed), "--cap", "3"]) == 0
 
 
+def test_enumerate_cap_error_names_the_depth(capsys, tmp_path):
+    seed = tmp_path / "triangle.quiver"
+    triangle = ExchangeQuiver.from_arrows(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
+    write_quiver(triangle, seed)
+    assert run(["enumerate", "--seed", str(seed), "--cap", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "multiplicity 10 exceeds the cap 6 at depth 2" in err
+
+
 def test_enumerate_rejects_bad_cycle(capsys):
     assert run(["enumerate", "--cycle", "0", "2"]) == 2
 

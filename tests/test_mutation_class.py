@@ -3,7 +3,9 @@ import json
 import pytest
 
 from oracles import reference_enumerate
+from quivercount import mutation_class
 from quivercount.canonical import canonical_key
+from quivercount.counting import a_tilde
 from quivercount.mutation_class import (
     CapExceeded,
     class_to_json,
@@ -98,12 +100,22 @@ def test_cap_exceeded_on_wild_seed():
 def test_cap_exceeded_during_walk():
     # acyclic triangle with double arrows blows up under mutation; the
     # reported multiplicity is the largest in the offending quiver, whether
-    # the cap breaks on the first step or deeper in the walk
+    # the cap breaks on the first step or deeper in the walk, and the error
+    # names that quiver and its depth as the unshortened walk finds them
     q = ExchangeQuiver.from_arrows(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
-    for cap, multiplicity in [(2, 6), (3, 6), (5, 6), (6, 10), (10, 14)]:
+    for cap, multiplicity, depth in [
+        (2, 6, 1), (3, 6, 1), (5, 6, 1), (6, 10, 2), (10, 14, 3)
+    ]:
         with pytest.raises(CapExceeded) as info:
             enumerate_class(q, multiplicity_cap=cap)
-        assert (info.value.multiplicity, info.value.cap) == (multiplicity, cap)
+        err = info.value
+        assert (err.multiplicity, err.cap) == (multiplicity, cap)
+        assert err.depth == depth
+        assert f"at depth {depth}" in str(err)
+        assert max_multiplicity(err.quiver) == multiplicity
+        with pytest.raises(CapExceeded) as ref:
+            reference_enumerate(q, multiplicity_cap=cap)
+        assert (ref.value.depth, ref.value.quiver) == (depth, err.quiver)
 
 
 def test_raised_cap_admits_seeds_within_it():
@@ -124,6 +136,12 @@ def _reference_seeds():
         yield pytest.param(seed_dynkin_d(n), id=f"dynkin-d-{n}")
     relabelled = relabel(seed_cycle(2, 4), [3, 5, 0, 4, 1, 2])
     yield pytest.param(relabelled, id="atilde-2-4-relabelled")
+    # classes with automorphisms, where refinement leaves cells and the
+    # skipped vertex is found through the search's ordering
+    for n in range(3, 7):
+        yield pytest.param(seed_cycle(0, n), id=f"oriented-{n}-cycle")
+    relabelled = relabel(seed_dynkin_d(6), [4, 0, 5, 2, 1, 3])
+    yield pytest.param(relabelled, id="dynkin-d-6-relabelled")
 
 
 @pytest.mark.parametrize("seed", list(_reference_seeds()))
@@ -134,6 +152,24 @@ def test_enumeration_matches_reference_bfs(seed):
     assert list(mc.members.items()) == list(ref.members.items())
     assert mc.depths == ref.depths
     assert mc.representatives() == ref.representatives()
+
+
+def test_walk_skips_edges_back_to_known_members(monkeypatch):
+    # with only the parent edge skipped, the seed is mutated at every vertex
+    # and every other member at all but one; edges that lead back to a known
+    # member by a non-identity isomorphism must be skipped as well
+    calls = 0
+
+    def counting_mutate(q, k):
+        nonlocal calls
+        calls += 1
+        return mutate(q, k)
+
+    monkeypatch.setattr(mutation_class, "mutate", counting_mutate)
+    mc = enumerate_class(seed_cycle(3, 4))
+    n = 7
+    assert calls < n + (mc.size - 1) * (n - 1)
+    assert mc.size == a_tilde(3, 4)
 
 
 def test_disconnected_seed_rejected():
