@@ -20,6 +20,10 @@ every vertex was visited: then every arrow is a base arrow, a triangle
 arrow or an arrow of an attachment.  The peel may reject early, but only
 the account accepts, so the peel has to find the right cycle on members
 alone, and no input makes the search for it exponential.
+
+Each walk also writes its attachment's word, an exact key of the rooted
+quiver up to root-preserving isomorphism, so deciding whether the two
+realizations coincide needs no canonical labeling.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from quivercount.canonical import canonical_key
 from quivercount.counting import normalize_parameters
 from quivercount.quiver import ExchangeQuiver
 
-# Unused here since _base_cycle's single scan does their work, but kept as
-# names of this module: perfbench's tracing hooks patch them here.
+# Unused here, since _base_cycle's single scan does the work of the last two
+# and the walk's word replaces canonical keys, but kept as names of this
+# module: perfbench's tracing hooks patch them here.
+from quivercount.canonical import canonical_key  # noqa: F401
 from quivercount.quiver import (  # noqa: F401
     max_multiplicity,
     underlying_graph_connected,
@@ -69,12 +74,24 @@ class RealizationParams:
 
 @dataclass(frozen=True)
 class Attachment:
-    """A rooted type A quiver hanging off one base arrow via a 3-cycle."""
+    """A rooted type A quiver hanging off one base arrow via a 3-cycle.
+
+    ``key`` is the word the walk from ``root`` writes: one ASCII byte per
+    vertex, depth first from the root, for what that vertex took: ``.``
+    nothing, ``>`` a single arrow out of it, ``<`` a single arrow into it,
+    ``^`` an oriented 3-cycle.  After ``^`` comes the subtree of the vertex
+    the arrow out leads to, then that of the vertex the arrow in comes
+    from.  Each byte fixes how many subtrees follow it (0, 1, 1 or 2), so
+    the word is a prefix code that decodes to one rooted type A quiver;
+    and the walk chooses by arrow directions only, never by labels.  So
+    two attachments have equal keys exactly when a root-preserving
+    isomorphism maps one onto the other.
+    """
 
     root: int
     plain_arrows: int
     cycle_count: int
-    key: bytes  # canonical key of the rooted subquiver, root distinguished
+    key: bytes
 
 
 @dataclass(frozen=True)
@@ -100,6 +117,10 @@ def _pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
+# The bytes of an attachment's word, one per vertex the walk reaches.
+_NONE, _OUT, _IN, _TRIANGLE = b".><^"
+
+
 def _walk_rooted(b, adj, root, visited, consumed):
     """Walk the rooted type A quiver hanging from ``root``, or return None.
 
@@ -108,17 +129,19 @@ def _walk_rooted(b, adj, root, visited, consumed):
     each vertex reached takes all of its untaken arrows: none, one single
     arrow to a fresh vertex, or two single arrows to fresh vertices that
     close an oriented 3-cycle.  Anything else, a step onto a visited vertex
-    included, fails the walk.  Returns (plain arrows, 3-cycles, vertices
-    reached), and leaves the vertices in ``visited`` and the arrows in
-    ``consumed``.
+    included, fails the walk.  Returns (plain arrows, 3-cycles, word), and
+    leaves the vertices in ``visited`` and the arrows in ``consumed``.  The
+    word has one byte per vertex reached, in the order the walk reaches
+    them, for what that vertex took (see ``Attachment.key``).
     """
     plain = cycles = 0
-    reached = [root]
+    word = bytearray()
     stack = [root]
     while stack:
         x = stack.pop()
         inc = [u for u in adj[x] if _pair(x, u) not in consumed]
         if not inc:
+            word.append(_NONE)
             continue
         if any(u in visited for u in inc):
             return None
@@ -129,6 +152,7 @@ def _walk_rooted(b, adj, root, visited, consumed):
                 return None
             consumed.add(_pair(x, w))
             plain += 1
+            word.append(_OUT if row[w] > 0 else _IN)
             fresh = inc
         elif len(inc) == 2:
             out_, in_ = inc if row[inc[0]] > 0 else inc[::-1]
@@ -136,13 +160,13 @@ def _walk_rooted(b, adj, root, visited, consumed):
                 return None  # not an oriented 3-cycle of single arrows
             consumed.update((_pair(x, out_), _pair(x, in_), _pair(out_, in_)))
             cycles += 1
+            word.append(_TRIANGLE)
             fresh = [in_, out_]  # the out-vertex is popped first
         else:
             return None
         visited.update(fresh)
-        reached += fresh
         stack += fresh
-    return plain, cycles, reached
+    return plain, cycles, bytes(word)
 
 
 def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
@@ -246,16 +270,6 @@ def _base_cycle(b, adj) -> Optional[tuple[int, ...]]:
     return tuple(cyc)
 
 
-def _rooted_key(q: ExchangeQuiver, comp, root) -> bytes:
-    verts = sorted(comp)
-    # a principal submatrix of a valid exchange matrix is one too
-    sub = ExchangeQuiver._trusted(
-        tuple(tuple(q.b[u][v] for v in verts) for u in verts)
-    )
-    colors = [0 if v == root else 1 for v in verts]
-    return canonical_key(sub, colors)
-
-
 def classify(q: ExchangeQuiver):
     """Parse ``q`` as an annular quiver, or return None.
 
@@ -264,11 +278,10 @@ def classify(q: ExchangeQuiver):
     arbitrary quivers outside the family.
 
     Cost on n vertices: one O(n^2) scan of the matrix for the neighbour
-    sets and multiplicities, a peel linear in n, apex picks and walks that
-    read each arrow a bounded number of times, then one rooted canonical
-    key per attachment, each on a subquiver already walked as rooted type
-    A.  Nothing recurses, so the cost holds up to the vertex ceiling of
-    ``loads``.
+    sets and multiplicities, then a peel linear in n and apex picks and
+    walks that read each arrow a bounded number of times; the walks write
+    the attachment keys, so no canonical key is computed.  Nothing
+    recurses, so the cost holds up to the vertex ceiling of ``loads``.
     """
     b = q.b
     adj = [{j for j, x in enumerate(row) if x} for row in b]
@@ -325,12 +338,9 @@ def classify(q: ExchangeQuiver):
     for t, z in enumerate(apexes):
         if z is None:
             continue
-        plain, cycles, verts = walks[z]
+        plain, cycles, word = walks[z]
         attachments[t] = Attachment(
-            root=z,
-            plain_arrows=plain,
-            cycle_count=cycles,
-            key=_rooted_key(q, verts, z),
+            root=z, plain_arrows=plain, cycle_count=cycles, key=word
         )
 
     r1 = r2 = s1 = s2 = 0

@@ -4,9 +4,11 @@ Each oracle deliberately recomputes its answer along a different route from
 the code under test: mutation on explicit arrow lists instead of the matrix
 update, isomorphism by trying every vertex bijection, class enumeration with
 no shortcuts, the classifier's base cycle by listing every chordless cycle,
-necklace counts by brute rotation, and series built from products over
-exponent tuples: logarithms as sums of powers, the rooted type A series by
-fixpoint iteration and the cycle construction as one logarithm per divisor.
+its attachment keys and symmetry test by canonical labelings of rooted
+subquivers, necklace counts by brute rotation, and series built from
+products over exponent tuples: logarithms as sums of powers, the rooted
+type A series by fixpoint iteration and the cycle construction as one
+logarithm per divisor.
 """
 
 from __future__ import annotations
@@ -133,6 +135,47 @@ def reference_chordless_cycles(q: ExchangeQuiver):
                 if any(x in adj[y] for y in path[:-1]):
                     continue
                 stack.append(path + [x])
+
+
+def reference_rooted_key(q: ExchangeQuiver, vertices, root) -> bytes:
+    """Canonical key of the principal subquiver on ``vertices``, with the
+    root as its own colour: equal exactly for root-preserving isomorphic
+    rooted subquivers."""
+    verts = sorted(vertices)
+    # a principal submatrix of a valid exchange matrix is one too
+    sub = ExchangeQuiver._trusted(
+        tuple(tuple(q.b[u][v] for v in verts) for u in verts)
+    )
+    colors = [0 if v == root else 1 for v in verts]
+    return canonical_key(sub, colors)
+
+
+def attachment_vertices(q: ExchangeQuiver, structure, root):
+    """The vertices of the attachment at ``root``: its component once the
+    base cycle of ``structure`` is removed."""
+    cycle = {v for arrow in structure.base_cycle for v in arrow}
+    seen = {root}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for u, e in enumerate(q.b[x]):
+            if e and u not in cycle and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def reference_is_symmetric(q: ExchangeQuiver, structure) -> bool:
+    """Whether the reversed word, orientation flags flipped, is a rotation
+    of the word, with each attachment keyed by ``reference_rooted_key``."""
+    word = [
+        (forward, b"" if att is None else reference_rooted_key(
+            q, attachment_vertices(q, structure, att.root), att.root
+        ))
+        for (forward, _), att in zip(structure.elements, structure.attachments)
+    ]
+    mirror = [(1 - forward, key) for forward, key in reversed(word)]
+    return any(word[i:] + word[:i] == mirror for i in range(len(word)))
 
 
 def necklace_count(length: int, ones: int) -> int:

@@ -2,7 +2,16 @@ import random
 import time
 from collections import Counter
 
-from oracles import all_quivers, reference_chordless_cycles
+import pytest
+
+import quivercount.canonical
+from oracles import (
+    all_quivers,
+    attachment_vertices,
+    reference_chordless_cycles,
+    reference_is_symmetric,
+    reference_rooted_key,
+)
 from quivercount.canonical import canonical_key
 from quivercount.classify import (
     classify,
@@ -175,6 +184,58 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
     assert time.perf_counter() - start < 1.0
 
 
+# -- attachment words ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, arrows, word",
+    [
+        (3, [], b"."),
+        (4, [(2, 3)], b">."),
+        (4, [(3, 2)], b"<."),
+        (7, [(2, 3), (3, 4), (4, 2), (3, 5), (6, 4)], b"^>.<."),
+    ],
+)
+def test_pinned_attachment_words(n, arrows, word):
+    """The attachment hangs from apex 2 of the triangle 1 -> 2 -> 0 on the
+    double arrow 0 => 1.  One byte per vertex, depth first from the apex:
+
+    - nothing more: the apex took nothing, ``.``;
+    - 2 -> 3: the apex took an arrow out, ``>``, then 3 took nothing;
+    - 3 -> 2: the apex took an arrow in, ``<``, then 3 took nothing;
+    - the triangle 2 -> 3 -> 4 -> 2 with tails 3 -> 5 and 6 -> 4: the apex
+      took a triangle, ``^``; then comes the subtree of 3, which the arrow
+      out of the apex leads to (3 took an arrow out, ``>``, and 5 nothing),
+      then that of 4 (an arrow in, ``<``, and 6 nothing).
+    """
+    q = ExchangeQuiver.from_arrows(n, [(0, 1, 2), (1, 2), (2, 0)] + arrows)
+    st = classify(q)
+    assert [att.key for att in st.attachments if att] == [word]
+    assert st.elements == ((1, word), (0, b""))
+
+
+def _ceiling_member():
+    """A double arrow, one 3-cycle on it and a 997-arrow tail from its apex:
+    1,000 vertices, the most ``loads`` reads."""
+    arrows = [(0, 1, 2), (1, 2), (2, 0)] + [(i, i + 1) for i in range(2, 999)]
+    return ExchangeQuiver.from_arrows(1000, arrows)
+
+
+def test_classify_never_canonicalizes(monkeypatch, data_dir, cycle_class):
+    members = cycle_class(2, 3).representatives()
+    quivers = [read_quiver(data_dir / "atilde16.quiver"), _ceiling_member()]
+
+    def forbidden(*args):
+        raise AssertionError("classify computed a canonical labeling")
+
+    monkeypatch.setattr(quivercount.canonical, "_refine", forbidden)
+    monkeypatch.setattr(quivercount.canonical, "_min_labeling", forbidden)
+    with pytest.raises(AssertionError):
+        canonical_key(quivers[0])
+    for q in quivers + members:
+        assert classify(q) is not None
+
+
 # -- whole-class sweeps --------------------------------------------------------
 
 
@@ -225,6 +286,50 @@ def test_classify_accepts_exactly_the_annular_classes_on_a_seeded_sample(
             assert accepted == (canonical_key(q) in members), q.b
             verdicts[accepted] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def _words_sample(cycle_class):
+    """Every member of every annular class with r + s <= 8, then the
+    accepted quivers of the seeded 5 to 8 vertex sample."""
+    for n in range(2, 9):
+        for r in range(1, n // 2 + 1):
+            yield from cycle_class(r, n - r).representatives()
+    rng = random.Random(906)
+    for n in range(5, 9):
+        for q in _walk_sample(rng, n):
+            if classify(q) is not None:
+                yield q
+
+
+def test_words_split_attachments_as_the_reference_keys(cycle_class):
+    # equal words exactly when equal canonical keys of the rooted
+    # subquivers, across every attachment of the sample
+    word_of, key_of = {}, {}
+    symmetric = Counter()
+    for q in _words_sample(cycle_class):
+        st = classify(q)
+        for att in st.attachments:
+            if att is None:
+                continue
+            key = reference_rooted_key(
+                q, attachment_vertices(q, st, att.root), att.root
+            )
+            assert word_of.setdefault(key, att.key) == att.key, q.b
+            assert key_of.setdefault(att.key, key) == key, q.b
+        symmetric[is_symmetric(st)] += 1
+        assert is_symmetric(st) == reference_is_symmetric(q, st), q.b
+    assert len(word_of) > 100 and symmetric[True] > 40, (len(word_of), symmetric)
+
+
+def test_words_and_symmetry_are_relabelling_invariant(cycle_class):
+    rng = random.Random(1515)
+    for q in _words_sample(cycle_class):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        st, st2 = classify(q), classify(relabel(q, perm))
+        words = Counter(att.key for att in st.attachments if att)
+        assert Counter(att.key for att in st2.attachments if att) == words
+        assert is_symmetric(st2) == is_symmetric(st), q.b
 
 
 def _cycle_read(st):
