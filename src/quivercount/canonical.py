@@ -14,6 +14,18 @@ refinement already gives every vertex its own color, the ordering is forced
 and the search is skipped; this is the common case for quivers met during
 class enumeration, and the key bytes are the same either way.
 
+Refinement is cell-local.  A round only splits cells in place, so it signs
+just the vertices of non-singleton cells, codes each (color, entry) pair
+as one order-preserving integer, and numbers the new cells in the old cell
+order.  The ranks, and so the key bytes and orders, are exactly those of
+signing every vertex with nested tuples and sorting them all at once.
+Each row's invariants (its nonzero pairs, its sorted entries, which are
+the first-round signature, and its largest entry) depend on the row tuple
+alone.  Mutation shares every row away from the mutated vertex, so a
+caller labeling many related quivers passes one ``memo`` dict that keeps
+them across calls.  The memo lives as long as the caller keeps it; by
+default each call makes its own.
+
 :func:`canonical_labeling` also returns the ``order`` behind its key:
 ``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
 canonical matrix.  Two quivers with equal keys are therefore matched by the
@@ -23,41 +35,90 @@ what it knows about one to the other.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from quivercount.quiver import ExchangeQuiver
 
 
-def _refine(adj: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
+def _refine(
+    adj: list[list[tuple[int, int]]],
+    colors: Sequence[int],
+    first: list[tuple[int, ...]] | None = None,
+    width: int | None = None,
+) -> list[int]:
     """Stable coloring refining ``colors`` by neighbor (color, entry) multisets.
 
     ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry.  The
     returned color values are ranks of sorted signatures, hence equal for
     corresponding vertices of isomorphic quivers.  A discrete coloring is
     returned as soon as it appears: another round would rank it unchanged.
+
+    Each round signs ``v`` with its color and the sorted (color of u,
+    entry) pairs of its arrows.  The signatures sort by the color first,
+    so a round splits cells in place and signs only non-singleton cells.
+    While refining, a vertex's color is the first position of its cell,
+    which sorts as the cell's rank, so a split recolors only its own
+    cell.  A pair ``(c, e)`` is coded as ``c * width + e``; with ``width
+    = 2 * max|e| + 1``, the default, the codes sort as the pairs do.  So
+    the ranks, and the key bytes built on them, are those of one global
+    sort of the nested signatures.  ``first`` holds each row's sorted
+    nonzero entries, as the caller's row memo keeps them: the first-round
+    signatures when ``colors`` is a single cell.
     """
     n = len(adj)
-    ncell = len(set(colors))
-    if ncell == 1:
-        # one cell: the signatures sort as the row entry multisets alone
-        sigs = [tuple(sorted([e for _, e in nbrs])) for nbrs in adj]
+    if width is None:
+        width = 2 * max((abs(e) for nbrs in adj for _, e in nbrs), default=0) + 1
+    col = [0] * n  # the first position of each vertex's cell
+    # the non-singleton cells, as (first position, vertices)
+    if len(set(colors)) <= 1:
+        cells = [(0, list(range(n)))] if n > 1 else []
     else:
-        sigs = _signatures(adj, colors)
-    while True:
-        rank = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == ncell or len(rank) == n:
-            return colors
-        ncell = len(rank)
-        sigs = _signatures(adj, colors)
-
-
-def _signatures(adj, colors):
-    """Each vertex's color with the sorted (color, entry) pairs of its arrows."""
-    return [
-        (colors[v], tuple(sorted([(colors[u], e) for u, e in nbrs])))
-        for v, nbrs in enumerate(adj)
-    ]
+        first = None
+        by_color: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        cells = []
+        start = 0
+        for c in sorted(by_color):
+            cell = by_color[c]
+            for v in cell:
+                col[v] = start
+            if len(cell) > 1:
+                cells.append((start, cell))
+            start += len(cell)
+    while cells:
+        split = []
+        kept = []
+        for start, cell in cells:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            if first is None:
+                for v in cell:
+                    s = tuple(sorted([col[u] * width + e for u, e in adj[v]]))
+                    groups.setdefault(s, []).append(v)
+            else:
+                for v in cell:
+                    groups.setdefault(first[v], []).append(v)
+            if len(groups) == 1:
+                kept.append((start, cell))
+            else:
+                split.append((start, [groups[s] for s in sorted(groups)]))
+        if not split:
+            break
+        first = None
+        # every cell was signed with the old colors; recolor only now
+        for start, parts in split:
+            for part in parts:
+                for v in part:
+                    col[v] = start
+                if len(part) > 1:
+                    kept.append((start, part))
+                start += len(part)
+        cells = kept
+    if not cells:
+        return col  # discrete: positions are the ranks
+    rank = {c: r for r, c in enumerate(sorted(set(col)))}
+    return [rank[c] for c in col]
 
 
 def _forced_order(colors):
@@ -73,10 +134,10 @@ def _flat(b, order):
     return [b[v][u] for p, v in enumerate(order) for u in order[:p]]
 
 
-def _forced_labeling(b, colors):
-    """``flat`` of the forced ordering of a discrete coloring: what
-    :func:`_min_labeling` returns for such a coloring, without its search."""
-    return _flat(b, _forced_order(colors))
+@lru_cache(maxsize=64)
+def _forced_head(n):
+    """Key prefix of a discrete coloring on ``n`` vertices: ``n|0,1,...,n-1|``."""
+    return "{}|{}|".format(n, ",".join(map(str, range(n))))
 
 
 def _min_labeling(b, colors):
@@ -148,7 +209,10 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
 
 
 def canonical_labeling(
-    q: ExchangeQuiver, colors: Sequence[int] | None = None
+    q: ExchangeQuiver,
+    colors: Sequence[int] | None = None,
+    *,
+    memo: dict | None = None,
 ) -> tuple[bytes, list[int]]:
     """``(key, order)``: :func:`canonical_key` and the ordering it encodes.
 
@@ -157,6 +221,12 @@ def canonical_labeling(
     ``(p, p')``.  When two quivers have equal keys, ``order_1[p] ->
     order_2[p]`` is an isomorphism from the first onto the second that
     respects ``colors``.
+
+    ``memo`` maps a row tuple to its nonzero ``(u, e)`` pairs, its sorted
+    nonzero entries and its largest ``|e|``.  A caller that labels many
+    quivers sharing rows, as the enumerator does, passes one dict, filled
+    by these calls only, to all of them; by default each call starts from
+    an empty one.  The memo never changes a result.
     """
     n = q.n
     if colors is None:
@@ -167,19 +237,30 @@ def canonical_labeling(
             raise ValueError("colors must assign one class per vertex")
     if n == 0:
         return b"0||", []
+    if memo is None:
+        memo = {}
     b = q.b
-    adj = [[(u, e) for u, e in enumerate(row) if e] for row in b]
-    refined = _refine(adj, init)
+    infos = []
+    for row in b:
+        info = memo.get(row)
+        if info is None:
+            nbrs = [(u, e) for u, e in enumerate(row) if e]
+            entries = sorted([e for _, e in nbrs])
+            big = max(-entries[0], entries[-1]) if entries else 0
+            info = memo[row] = (nbrs, tuple(entries), big)
+        infos.append(info)
+    adj = [info[0] for info in infos]
+    width = 2 * max([info[2] for info in infos]) + 1
+    refined = _refine(adj, init, [info[1] for info in infos], width)
     if len(set(refined)) == n:
-        slots = range(n)
         order = _forced_order(refined)
-        flat = _flat(b, order)
+        key = _forced_head(n) + ",".join(map(str, _flat(b, order)))
     else:
         flat, slots, order = _min_labeling(b, refined)
-    key = "{}|{}|{}".format(
-        n, ",".join(map(str, slots)), ",".join(map(str, flat))
-    ).encode("ascii")
-    return key, order
+        key = "{}|{}|{}".format(
+            n, ",".join(map(str, slots)), ",".join(map(str, flat))
+        )
+    return key.encode("ascii"), order
 
 
 def are_isomorphic(q1: ExchangeQuiver, q2: ExchangeQuiver) -> bool:

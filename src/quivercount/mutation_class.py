@@ -26,6 +26,10 @@ result is a known member, which is within the cap.
   queued member are the cases where sigma is the identity.
 - Since a member is within the cap, only the entries a mutation changed are
   checked against it.
+
+The canonical labelings of one walk share a memo of row invariants, since
+mutation shares every row away from the mutated vertex; the memo goes with
+the walk.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ def enumerate_class(
     m0 = max_multiplicity(seed)
     if m0 > multiplicity_cap:
         raise CapExceeded(m0, multiplicity_cap, 0, seed)
-    key0, order0 = canonical_labeling(seed)
+    memo: dict = {}  # row invariants for canonical_labeling
+    key0, order0 = canonical_labeling(seed, memo=memo)
     members = {key0: seed}
     depths = {key0: 0}
     known = {seed.b: key0}  # stored members' matrices, shared, not copied
@@ -131,7 +136,7 @@ def enumerate_class(
                 if entry is not None:
                     entry[1].add(k)  # sigma is the identity
                 continue
-            key2, order2 = canonical_labeling(q2)
+            key2, order2 = canonical_labeling(q2, memo=memo)
             entry = pending.get(key2)
             if entry is not None:
                 order_n, skip_n = entry

@@ -100,22 +100,24 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
         raise IndexError(f"vertex {k} out of range for a quiver on {n} vertices")
     b = q.b
     bk = b[k]
-    rows = []
-    for i in range(n):
-        bi = b[i]
-        bik = bi[k]
-        if i == k:
-            rows.append(tuple(-x for x in bi))
-        elif not bik:
-            rows.append(bi)  # rows away from k are unchanged and shared
-        else:
-            row = list(bi)
-            row[k] = -bik
-            for j in range(n):
-                bkj = bk[j]
-                if bik * bkj > 0:  # a two-path i -> k -> j or j -> k -> i
-                    row[j] += bik * abs(bkj)
-            rows.append(tuple(row))
+    # only two-paths i -> k -> j change entries off row and column k;
+    # every row away from k is unchanged and shared
+    ins = [(i, -x) for i, x in enumerate(bk) if x < 0]
+    outs = [(j, x) for j, x in enumerate(bk) if x > 0]
+    rows = list(b)
+    rows[k] = tuple([-x for x in bk])
+    for i, a in ins:
+        row = list(b[i])
+        row[k] = -a
+        for j, c in outs:
+            row[j] += a * c
+        rows[i] = tuple(row)
+    for j, c in outs:
+        row = list(b[j])
+        row[k] = c
+        for i, a in ins:
+            row[i] -= a * c
+        rows[j] = tuple(row)
     return ExchangeQuiver._trusted(tuple(rows))
 
 
@@ -170,8 +172,9 @@ def max_multiplicity(q: ExchangeQuiver) -> int:
 # lexicographically by (i, j).
 
 # Largest vertex count a file may declare: the reader builds the dense n x n
-# matrix before any arrow, so a one-line file could otherwise ask for any
-# amount of memory.  A million cells is far above every targeted family.
+# matrix once every arrow line has passed, so a file of a few lines could
+# otherwise ask for any amount of memory.  A million cells is far above
+# every targeted family.
 MAX_VERTICES = 1000
 
 
@@ -183,25 +186,25 @@ def dumps(q: ExchangeQuiver) -> str:
 
 
 def loads(text: str) -> ExchangeQuiver:
-    rows: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
+    # value lines as field lists, split one at a time as they are checked
+    rows = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    rows = (fields for fields in rows if fields)
+    head = next(rows, None)
+    if head is None:
         raise QuiverFormatError("empty quiver file")
-    if len(rows[0]) != 1:
+    if len(head) != 1:
         raise QuiverFormatError("first line must hold the vertex count only")
     try:
-        n = int(rows[0][0])
+        n = int(head[0])
     except ValueError as exc:
-        raise QuiverFormatError(f"bad vertex count {rows[0][0]!r}") from exc
+        raise QuiverFormatError(f"bad vertex count {head[0]!r}") from exc
     if n < 0:
         raise QuiverFormatError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise QuiverFormatError(f"vertex count {n} exceeds the ceiling {MAX_VERTICES}")
-    b = [[0] * n for _ in range(n)]
-    for fields in rows[1:]:
+    # every arrow is checked before the dense matrix exists
+    bundles: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for fields in rows:
         if len(fields) != 3:
             raise QuiverFormatError(f"expected 'i j m', got {' '.join(fields)!r}")
         try:
@@ -212,8 +215,12 @@ def loads(text: str) -> ExchangeQuiver:
             raise QuiverFormatError(f"bad arrow {i} -> {j} for n={n}")
         if m < 1:
             raise QuiverFormatError("arrow multiplicity must be at least 1")
-        if b[i][j] != 0 or b[j][i] != 0:
+        pair = (min(i, j), max(i, j))
+        if pair in bundles:
             raise QuiverFormatError(f"duplicate or opposing arrows between {i} and {j}")
+        bundles[pair] = (i, j, m)
+    b = [[0] * n for _ in range(n)]
+    for i, j, m in bundles.values():
         b[i][j] = m
         b[j][i] = -m
     return ExchangeQuiver.from_matrix(b)

@@ -2,8 +2,9 @@
 
 Each oracle deliberately recomputes its answer along a different route from
 the code under test: mutation on explicit arrow lists instead of the matrix
-update, isomorphism by trying every vertex bijection, class enumeration with
-no shortcuts, the classifier's base cycle by listing every chordless cycle,
+update, isomorphism by trying every vertex bijection, canonical labelings
+refined by a global sort of nested signatures, class enumeration with no
+shortcuts, the classifier's base cycle by listing every chordless cycle,
 its attachment keys and symmetry test by canonical labelings of rooted
 subquivers, necklace counts by brute rotation, and series built from
 products over exponent tuples: logarithms as sums of powers, the rooted
@@ -18,7 +19,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from quivercount.canonical import canonical_key
+from quivercount.canonical import _min_labeling, canonical_key
 from quivercount.counting import euler_phi
 from quivercount.mutation_class import CapExceeded, MutationClass
 from quivercount.quiver import ExchangeQuiver, max_multiplicity
@@ -76,6 +77,42 @@ def brute_force_isomorphic(q1: ExchangeQuiver, q2: ExchangeQuiver) -> bool:
         ):
             return True
     return False
+
+
+def reference_canonical_labeling(q: ExchangeQuiver, colors=None):
+    """``(key, order)`` as ``canonical_labeling`` computes it, by a global sort.
+
+    Every round signs every vertex with its color and the sorted (color,
+    entry) pairs of its arrows, as nested tuples, and ranks all the
+    signatures at once; no row invariant is reused.  Refinement stops when
+    a round splits no cell or the coloring is discrete.  A discrete
+    coloring fixes the order; otherwise ``_min_labeling`` searches it.
+    """
+    n = q.n
+    b = q.b
+    colors = [0] * n if colors is None else [int(c) for c in colors]
+    if n == 0:
+        return b"0||", []
+    adj = [[(u, e) for u, e in enumerate(row) if e] for row in b]
+    ncell = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted((colors[u], e) for u, e in adj[v])))
+            for v in range(n)
+        ]
+        rank = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) in (ncell, n):
+            break
+        ncell = len(rank)
+    if len(rank) == n:
+        order = sorted(range(n), key=colors.__getitem__)
+        slots = list(range(n))
+        flat = [b[v][u] for p, v in enumerate(order) for u in order[:p]]
+    else:
+        flat, slots, order = _min_labeling(b, colors)
+    key = f"{n}|{','.join(map(str, slots))}|{','.join(map(str, flat))}"
+    return key.encode("ascii"), order
 
 
 def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> MutationClass:

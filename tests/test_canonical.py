@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isomorphic, random_quiver
+from oracles import brute_force_isomorphic, random_quiver, reference_canonical_labeling
 from quivercount.canonical import (
-    _forced_labeling,
+    _flat,
+    _forced_order,
     _min_labeling,
     _refine,
     are_isomorphic,
@@ -15,7 +16,7 @@ from quivercount.canonical import (
     canonical_labeling,
 )
 from quivercount.mutation_class import seed_cycle, seed_dynkin_d
-from quivercount.quiver import ExchangeQuiver, relabel
+from quivercount.quiver import ExchangeQuiver, mutate, relabel
 from test_quiver import quivers
 
 # Key bytes appear in `enumerate --json`, so they are pinned literally.
@@ -55,7 +56,36 @@ def test_forced_labeling_matches_search_on_discrete_colorings(q):
     adj = [[(u, e) for u, e in enumerate(row) if e] for row in q.b]
     colors = _refine(adj, [0] * q.n)
     assume(len(set(colors)) == q.n)
-    assert _forced_labeling(q.b, colors) == _min_labeling(q.b, colors)[0]
+    assert _flat(q.b, _forced_order(colors)) == _min_labeling(q.b, colors)[0]
+
+
+@given(quivers(max_n=9, max_mult=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_labeling_matches_the_global_sort_reference(q, data):
+    # cell-local rounds over integer codes must rank exactly as the nested
+    # signatures do, so keys and orders agree byte for byte
+    colors = data.draw(
+        st.none() | st.lists(st.integers(-1, 3), min_size=q.n, max_size=q.n)
+    )
+    assert canonical_labeling(q, colors) == reference_canonical_labeling(q, colors)
+    # the quiver's mutations share rows with it through one memo, and reach
+    # larger entries
+    memo = {}
+    for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
+        got = canonical_labeling(x, colors, memo=memo)
+        assert got == reference_canonical_labeling(x, colors)
+
+
+def test_labeling_matches_the_reference_on_class_members(cycle_class):
+    # every member of each annular class with r+s <= 8 and each of its
+    # one-step mutations, one memo per class as the enumerator keeps it
+    for n in range(2, 9):
+        for r in range(1, n // 2 + 1):
+            memo = {}
+            for q in cycle_class(r, n - r).members.values():
+                for x in [q] + [mutate(q, k) for k in range(n)]:
+                    got = canonical_labeling(x, memo=memo)
+                    assert got == reference_canonical_labeling(x)
 
 
 @given(quivers(max_n=7), st.data())

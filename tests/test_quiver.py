@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,18 @@ def test_loads_accepts_comments_and_blank_lines():
 def test_loads_rejects_malformed(text):
     with pytest.raises(QuiverFormatError):
         loads(text)
+
+
+def test_loads_rejects_a_bad_arrow_before_allocating():
+    # a dense 1000 x 1000 matrix peaks near 8 MB; the loop is caught first
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuiverFormatError, match="bad arrow 0 -> 0"):
+            loads(f"{MAX_VERTICES}\n0 1 1\n0 0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_file_roundtrip(tmp_path):
