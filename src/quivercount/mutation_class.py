@@ -7,9 +7,9 @@ on a non-oriented cycle) are finite with arrow multiplicities at most 2, so
 the walk terminates; anything that drives a multiplicity above the cap
 aborts loudly instead of silently corrupting the count.
 
-Four shortcuts keep the walk from canonicalizing what it already knows,
+Five shortcuts keep the walk from canonicalizing what it already knows,
 without changing its members, depths, stored representatives or the point
-where it stops on the cap.  The first three only skip mutations whose
+where it stops on the cap.  All but the fourth only skip mutations whose
 result is a known member, which is within the cap.
 
 - Mutation is an involution, so a member is never mutated back along the
@@ -25,7 +25,18 @@ result is a known member, which is within the cap.
   when sigma(k) comes after k).  The parent edge and an exact repeat of a
   queued member are the cases where sigma is the identity.
 - Since a member is within the cap, only the entries a mutation changed are
-  checked against it.
+  checked against it: rows of k's in-neighbours at columns of its
+  out-neighbours.
+- Pentagons of the exchange graph close by a swap.  For a single arrow
+  between k and u, mu_k mu_u mu_k mu_u mu_k(Q) is Q with k and u swapped
+  (Fomin & Zelevinsky, "Cluster algebras I", arXiv:math/0104151).  So
+  before labeling X = mu_k(q), the walk looks up X with k and a neighbour
+  u swapped among the stored matrices.  A hit is a member N whose matrix
+  equals the swapped one, so the swap is an isomorphism X -> N,
+  mu_u(N) ~ mu_k(X) = q, and N is not mutated at u.  A miss is cheap:
+  the whole swapped matrix is built only when its row k is some pending
+  member's row at k, and the walk counts those rows as members are
+  queued and expanded.
 
 The canonical labelings of one walk share a memo of row invariants, since
 mutation shares every row away from the mutated vertex; the memo goes with
@@ -117,17 +128,25 @@ def enumerate_class(
     # members queued or being expanded: key -> (canonical order, vertices
     # not to mutate)
     pending = {key0: (order0, set())}
+    # pending_rows[v]: row -> number of pending members with that row at v
+    pending_rows: list[dict] = [{} for _ in range(seed.n)]
+    _count_rows(pending_rows, seed.b, 1)
     queue = deque([key0])
     while queue:
         key = queue.popleft()
         q, d = members[key], depths[key]
+        b = q.b
         # kept pending while q is expanded: mu_k(q) ~ q may add a later vertex
         skip = pending[key][1]
         for k in range(q.n):
             if k in skip:
                 continue  # this mutation gives back a known member
             q2 = mutate(q, k)
-            m = _changed_multiplicity(q.b[k], q2.b)
+            # k has the same neighbours before and after the mutation
+            bk = b[k]
+            ins = [i for i, x in enumerate(bk) if x < 0]
+            outs = [j for j, x in enumerate(bk) if x > 0]
+            m = _changed_multiplicity(q2.b, ins, outs)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             key2 = known.get(q2.b)
@@ -135,6 +154,13 @@ def enumerate_class(
                 entry = pending.get(key2)
                 if entry is not None:
                     entry[1].add(k)  # sigma is the identity
+                continue
+            hit = _swapped_member(q2.b, k, ins + outs, pending_rows[k], known)
+            if hit is not None:
+                key2, u = hit
+                entry = pending.get(key2)
+                if entry is not None:
+                    entry[1].add(u)  # sigma swaps k and u
                 continue
             key2, order2 = canonical_labeling(q2, memo=memo)
             entry = pending.get(key2)
@@ -146,30 +172,69 @@ def enumerate_class(
                 depths[key2] = d + 1
                 known[q2.b] = key2
                 pending[key2] = (order2, {k})
+                _count_rows(pending_rows, q2.b, 1)
                 queue.append(key2)
         del pending[key]
+        _count_rows(pending_rows, b, -1)
     return MutationClass(seed, members, depths)
 
 
-def _changed_multiplicity(bk, b2) -> int:
+def _changed_multiplicity(b2, ins, outs) -> int:
     """Largest multiplicity among the entries a mutation at k changed.
 
-    ``bk`` is row k before the mutation and ``b2`` the mutated matrix.
-    Only entries (i, j) with i -> k -> j change in absolute value, so when
-    the parent is within the cap, the cap is exceeded exactly when this
-    value exceeds it, and then it equals the largest multiplicity overall.
+    ``b2`` is the mutated matrix and ``ins`` and ``outs`` are k's in- and
+    out-neighbours.  Only entries (i, j) with i -> k -> j change in
+    absolute value, so when the parent is within the cap, the cap is
+    exceeded exactly when this value exceeds it, and then it equals the
+    largest multiplicity overall.
     """
-    outs = [j for j, x in enumerate(bk) if x > 0]
     m = 0
     if outs:
-        for i, x in enumerate(bk):
-            if x < 0:
-                row = b2[i]
-                for j in outs:
-                    a = abs(row[j])
-                    if a > m:
-                        m = a
+        for i in ins:
+            row = b2[i]
+            for j in outs:
+                a = abs(row[j])
+                if a > m:
+                    m = a
     return m
+
+
+def _count_rows(pending_rows: list[dict], b, step: int) -> None:
+    """Add ``step`` to the count of each (vertex, row) pair of ``b``."""
+    for counts, row in zip(pending_rows, b):
+        c = counts.get(row, 0) + step
+        if c:
+            counts[row] = c
+        else:
+            del counts[row]
+
+
+def _swapped(row, k: int, u: int):
+    """``row`` with its entries k and u exchanged."""
+    row = list(row)
+    row[k], row[u] = row[u], row[k]
+    return tuple(row)
+
+
+def _swapped_member(b, k: int, nbrs, rows_at_k: dict, known: dict):
+    """``(key, u)`` for a stored member equal to ``b`` with k and u swapped.
+
+    ``u`` runs over ``nbrs``, the neighbours of k.  Row k of the swapped
+    matrix is row u of ``b`` with entries k and u exchanged, so the whole
+    matrix is built only when that row is some pending member's row at k,
+    per ``rows_at_k``.  Returns None when no swap gives a stored member.
+    """
+    for u in nbrs:
+        if _swapped(b[u], k, u) not in rows_at_k:
+            continue
+        # swap columns k and u, sharing the rows whose entries there agree,
+        # then rows k and u
+        rows = [row if row[k] == row[u] else _swapped(row, k, u) for row in b]
+        rows[k], rows[u] = rows[u], rows[k]
+        key = known.get(tuple(rows))
+        if key is not None:
+            return key, u
+    return None
 
 
 def seed_cycle(r: int, s: int) -> ExchangeQuiver:

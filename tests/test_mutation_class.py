@@ -142,6 +142,14 @@ def _reference_seeds():
         yield pytest.param(seed_cycle(0, n), id=f"oriented-{n}-cycle")
     relabelled = relabel(seed_dynkin_d(6), [4, 0, 5, 2, 1, 3])
     yield pytest.param(relabelled, id="dynkin-d-6-relabelled")
+    # the swapped-matrix lookup hits by labelled equality, so which edges it
+    # closes depends on the labelling; these are at the scale where most hit
+    relabelled = relabel(seed_cycle(3, 5), [6, 2, 7, 0, 4, 1, 5, 3])
+    yield pytest.param(relabelled, id="atilde-3-5-relabelled")
+    relabelled = relabel(seed_cycle(4, 4), [1, 6, 3, 7, 0, 5, 2, 4])
+    yield pytest.param(relabelled, id="atilde-4-4-relabelled")
+    relabelled = relabel(seed_dynkin_d(7), [5, 3, 6, 0, 2, 4, 1])
+    yield pytest.param(relabelled, id="dynkin-d-7-relabelled")
 
 
 @pytest.mark.parametrize("seed", list(_reference_seeds()))
@@ -170,6 +178,28 @@ def test_walk_skips_edges_back_to_known_members(monkeypatch):
     n = 7
     assert calls < n + (mc.size - 1) * (n - 1)
     assert mc.size == a_tilde(3, 4)
+
+
+def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
+    # pentagons of the exchange graph close by a swap of k and a neighbour;
+    # without the lookup the same edges are closed by labeling
+    calls = 0
+    labeling = mutation_class.canonical_labeling
+
+    def counting_labeling(q, **kwargs):
+        nonlocal calls
+        calls += 1
+        return labeling(q, **kwargs)
+
+    monkeypatch.setattr(mutation_class, "canonical_labeling", counting_labeling)
+    seed = seed_cycle(4, 5)
+    mc = enumerate_class(seed)
+    with_lookup, calls = calls, 0
+    monkeypatch.setattr(mutation_class, "_swapped_member", lambda *args: None)
+    plain = enumerate_class(seed)
+    assert list(mc.members.items()) == list(plain.members.items())
+    assert mc.depths == plain.depths
+    assert with_lookup <= 0.7 * calls
 
 
 def test_disconnected_seed_rejected():
