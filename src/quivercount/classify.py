@@ -15,11 +15,13 @@ removed until nothing more can be, and an annular quiver is left with
 exactly its base cycle (see ``_base_cycle``).  Each base arrow then takes
 at most one apex, and from each apex one iterative walk follows the
 recursive description of rooted type A quivers over the whole quiver, each
-vertex it reaches taking every arrow it has.  The account accepts only if
-every vertex was visited: then every arrow is a base arrow, a triangle
-arrow or an arrow of an attachment.  The peel may reject early, but only
-the account accepts, so the peel has to find the right cycle on members
-alone, and no input makes the search for it exponential.
+vertex it reaches taking every arrow it has left.  Taking an arrow deletes
+it from both ends of one copy of the neighbour sets, so a vertex's set is
+exactly its untaken arrows.  The account accepts only if every vertex was
+visited: then every arrow is a base arrow, a triangle arrow or an arrow of
+an attachment.  The peel may reject early, but only the account accepts,
+so the peel has to find the right cycle on members alone, and no input
+makes the search for it exponential.
 
 Each walk also writes its attachment's word, an exact key of the rooted
 quiver up to root-preserving isomorphism, so deciding whether the two
@@ -29,14 +31,15 @@ realizations coincide needs no canonical labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from quivercount.counting import normalize_parameters
 from quivercount.quiver import ExchangeQuiver
 
-# Unused here, since _base_cycle's single scan does the work of the last two
-# and the walk's word replaces canonical keys, but kept as names of this
-# module: perfbench's tracing hooks patch them here.
+# Unused here, since _base_cycle does the work of the last two and the
+# walk's word replaces canonical keys, but kept as names of this module:
+# perfbench's tracing hooks patch them here.
 from quivercount.canonical import canonical_key  # noqa: F401
 from quivercount.quiver import (  # noqa: F401
     max_multiplicity,
@@ -113,55 +116,56 @@ class AtildeStructure:
     elements: tuple[tuple[int, bytes], ...]
 
 
-def _pair(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 # The bytes of an attachment's word, one per vertex the walk reaches.
 _NONE, _OUT, _IN, _TRIANGLE = b".><^"
 
 
-def _walk_rooted(b, adj, root, visited, consumed):
+def _walk_rooted(b, rest, root, visited):
     """Walk the rooted type A quiver hanging from ``root``, or return None.
 
-    ``root`` must already be in ``visited``; ``consumed`` holds the arrows
-    taken so far, as ``_pair``s.  Depth first, out-vertex before in-vertex,
-    each vertex reached takes all of its untaken arrows: none, one single
-    arrow to a fresh vertex, or two single arrows to fresh vertices that
-    close an oriented 3-cycle.  Anything else, a step onto a visited vertex
+    ``root`` must already be in ``visited``; ``rest[x]`` holds the
+    neighbours of x by arrows not taken yet, and taking an arrow deletes it
+    from both ends.  Depth first, out-vertex before in-vertex, each vertex
+    reached takes all of its untaken arrows: none, one single arrow to a
+    fresh vertex, or two single arrows to fresh vertices that close an
+    oriented 3-cycle.  Anything else, a step onto a visited vertex
     included, fails the walk.  Returns (plain arrows, 3-cycles, word), and
-    leaves the vertices in ``visited`` and the arrows in ``consumed``.  The
-    word has one byte per vertex reached, in the order the walk reaches
-    them, for what that vertex took (see ``Attachment.key``).
+    leaves the vertices in ``visited`` and the arrows deleted from
+    ``rest``.  The word has one byte per vertex reached, in the order the
+    walk reaches them, for what that vertex took (see ``Attachment.key``).
     """
     plain = cycles = 0
     word = bytearray()
     stack = [root]
     while stack:
         x = stack.pop()
-        inc = [u for u in adj[x] if _pair(x, u) not in consumed]
+        inc = rest[x]
         if not inc:
             word.append(_NONE)
             continue
-        if any(u in visited for u in inc):
+        if not visited.isdisjoint(inc):
             return None
         row = b[x]
         if len(inc) == 1:
-            (w,) = inc
+            w = inc.pop()
             if abs(row[w]) != 1:
                 return None
-            consumed.add(_pair(x, w))
+            rest[w].remove(x)
             plain += 1
             word.append(_OUT if row[w] > 0 else _IN)
-            fresh = inc
+            fresh = (w,)
         elif len(inc) == 2:
-            out_, in_ = inc if row[inc[0]] > 0 else inc[::-1]
+            out_, in_ = inc
+            if row[out_] < 0:
+                out_, in_ = in_, out_
             if row[out_] != 1 or row[in_] != -1 or b[out_][in_] != 1:
                 return None  # not an oriented 3-cycle of single arrows
-            consumed.update((_pair(x, out_), _pair(x, in_), _pair(out_, in_)))
+            inc.clear()
+            rest[out_] -= {x, in_}
+            rest[in_] -= {x, out_}
             cycles += 1
             word.append(_TRIANGLE)
-            fresh = [in_, out_]  # the out-vertex is popped first
+            fresh = (in_, out_)  # the out-vertex is popped first
         else:
             return None
         visited.update(fresh)
@@ -176,19 +180,19 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
     single arrow to a smaller rooted quiver, or an oriented 3-cycle with
     rooted quivers at its two far vertices.  Returns None when the
     structure does not match (wrong degrees, a non-oriented or chorded
-    cycle, double arrows, unreachable leftovers).
+    cycle, double arrows, unreachable leftovers).  Raises ValueError when
+    ``root`` is not in ``vertices`` or a vertex is not one of ``q``'s.
     """
     b = q.b
     vs = set(vertices) if vertices is not None else set(range(q.n))
     if root not in vs:
         raise ValueError("root must belong to the vertex set")
-    adj = {u: [v for v in vs if b[u][v]] for u in vs}
+    if not vs.issubset(range(q.n)):
+        raise ValueError(f"vertices must lie in range({q.n})")
+    rest = {u: {v for v in vs if b[u][v]} for u in vs}
     visited = {root}
-    consumed: set[tuple[int, int]] = set()
-    walked = _walk_rooted(b, adj, root, visited, consumed)
-    if walked is None or visited != vs:
-        return None
-    if 2 * len(consumed) != sum(map(len, adj.values())):
+    walked = _walk_rooted(b, rest, root, visited)
+    if walked is None or visited != vs or any(rest.values()):
         return None
     return walked[:2]
 
@@ -196,32 +200,36 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
 def _base_cycle(b, adj) -> Optional[tuple[int, ...]]:
     """The one candidate non-oriented cycle of the matrix ``b``, or None.
 
-    ``adj`` holds each vertex's neighbour set and is left as it is.  One
-    pass over the matrix rejects a multiplicity above 2 or a second double
-    arrow.  Then two kinds of vertex are peeled while any is left: a leaf
-    on a single arrow, and a vertex of degree 2 whose two single arrows
-    close an oriented triangle with an arrow (possibly the double arrow)
-    between its neighbours.  The peel never removes a vertex of the base
-    cycle of an annular quiver and always finds one more attachment vertex
-    to remove, so on an annular quiver exactly the base cycle is left.  A
-    peeled vertex always has a neighbour, so on a disconnected quiver some
-    other component keeps a vertex alive too.  What is left must be the
-    double arrow, returned as (tail, head), or a chordless cycle of single
-    arrows that is not oriented, read from its least vertex with the
-    smaller neighbour second.  The caller's account of every vertex decides
-    membership, so the candidate needs no further proof here.
+    ``adj`` holds each vertex's neighbour set and is left as it is.  A
+    multiplicity above 2 or a second double arrow is rejected first; the
+    rows are scanned for them only when the set of all entries is not
+    within {-1, 0, 1}.  Then two kinds of vertex are peeled while any is
+    left: a leaf on a single arrow, and a vertex of degree 2 whose two
+    single arrows close an oriented triangle with an arrow (possibly the
+    double arrow) between its neighbours.  The peel never removes a vertex
+    of the base cycle of an annular quiver and always finds one more
+    attachment vertex to remove, so on an annular quiver exactly the base
+    cycle is left.  A peeled vertex always has a neighbour, so on a
+    disconnected quiver some other component keeps a vertex alive too.
+    What is left must be the double arrow, returned as (tail, head), or a
+    chordless cycle of single arrows that is not oriented, read from its
+    least vertex with the smaller neighbour second.  The caller's account
+    of every vertex decides membership, so the candidate needs no further
+    proof here.
     """
     n = len(b)
     if n < 2:
         return None
     double = []
-    for i, row in enumerate(b):
-        if max(row) > 1 or min(row) < -1:
-            for j, x in enumerate(row):
-                if x > 2 or x < -2:
-                    return None
-                if x == 2:
-                    double.append((i, j))
+    entries = set().union(*b)
+    if max(entries) > 1 or min(entries) < -1:
+        for i, row in enumerate(b):
+            if max(row) > 1 or min(row) < -1:
+                for j, x in enumerate(row):
+                    if x > 2 or x < -2:
+                        return None
+                    if x == 2:
+                        double.append((i, j))
     if len(double) > 1:
         return None
 
@@ -277,18 +285,19 @@ def classify(q: ExchangeQuiver):
     of other mutation classes (all cycles oriented, as in type A or D), and
     arbitrary quivers outside the family.
 
-    Cost on n vertices: one O(n^2) scan of the matrix for the neighbour
-    sets and multiplicities, then a peel linear in n and apex picks and
-    walks that read each arrow a bounded number of times; the walks write
-    the attachment keys, so no canonical key is computed.  Nothing
+    Cost on n vertices: one O(n^2) pass over the matrix for the neighbour
+    sets and multiplicities, then a peel linear in n, and apex picks and
+    walks that take each arrow once, by deleting it from both ends of the
+    neighbour sets; the walks write the attachment keys, so no canonical
+    key is computed.  Nothing
     recurses, so the cost holds up to the vertex ceiling of ``loads``.
     """
     b = q.b
-    adj = [{j for j, x in enumerate(row) if x} for row in b]
-    cyc = _base_cycle(b, adj)
+    n = q.n
+    rest = [set(compress(range(n), row)) for row in b]
+    cyc = _base_cycle(b, rest)
     if cyc is None:
         return None
-    n = q.n
     m = len(cyc)
 
     # base arrows in traversal order: (tail, head, follows_traversal)
@@ -306,59 +315,50 @@ def classify(q: ExchangeQuiver):
                 strands.append((v, u, False))
 
     # each strand takes the least untaken apex z off the cycle with
-    # head -> z -> tail; a surplus apex is left for the account to reject
+    # head -> z -> tail, and with it the arrows y -> z -> x; a surplus apex
+    # is left for the account to reject
     visited = set(cyc)
-    consumed: set[tuple[int, int]] = set()
     apexes: list[Optional[int]] = []
     for x, y, _ in strands:
         z = min(
-            (z for z in adj[y] if z not in visited and b[y][z] > 0 and b[z][x] > 0),
+            (z for z in rest[y] if z not in visited and b[y][z] > 0 and b[z][x] > 0),
             default=None,
         )
         apexes.append(z)
         if z is not None:
             visited.add(z)
-            consumed.update((_pair(y, z), _pair(z, x)))
-
-    walks = {}
-    for z in apexes:
-        if z is not None:
-            walks[z] = _walk_rooted(b, adj, z, visited, consumed)
-            if walks[z] is None:
-                return None
-    # A walked vertex took every arrow it has and the peel left the cycle
-    # chordless, so once every vertex is visited every arrow is a base
-    # arrow, a triangle arrow or an arrow of an attachment.  The account
-    # reads no base or triangle arrow's multiplicity: _base_cycle's scan
-    # has already allowed 2 on the double arrow alone.
-    if len(visited) != n:
-        return None
-
-    attachments: list[Optional[Attachment]] = [None] * len(strands)
-    for t, z in enumerate(apexes):
-        if z is None:
-            continue
-        plain, cycles, word = walks[z]
-        attachments[t] = Attachment(
-            root=z, plain_arrows=plain, cycle_count=cycles, key=word
-        )
+            rest[z] -= {x, y}
+            rest[x].remove(z)
+            rest[y].remove(z)
 
     r1 = r2 = s1 = s2 = 0
+    attachments: list[Optional[Attachment]] = []
     elements = []
-    for t, (x, y, forward) in enumerate(strands):
-        att = attachments[t]
-        if att is None:
-            plain, cycles = 1, 0
-            elements.append((1 if forward else 0, b""))
+    for z, (_, _, forward) in zip(apexes, strands):
+        if z is None:
+            plain, cycles, word = 1, 0, b""
+            attachments.append(None)
         else:
-            plain, cycles = att.plain_arrows, att.cycle_count + 1
-            elements.append((1 if forward else 0, att.key))
+            walked = _walk_rooted(b, rest, z, visited)
+            if walked is None:
+                return None
+            plain, cycles, word = walked
+            attachments.append(Attachment(z, plain, cycles, word))
+            cycles += 1
+        elements.append((1 if forward else 0, word))
         if forward:
             r1 += plain
             r2 += cycles
         else:
             s1 += plain
             s2 += cycles
+    # A walked vertex took every arrow it had left and the peel left the cycle
+    # chordless, so once every vertex is visited every arrow is a base
+    # arrow, a triangle arrow or an arrow of an attachment.  The account
+    # reads no base or triangle arrow's multiplicity: _base_cycle's scan
+    # has already allowed 2 on the double arrow alone.
+    if len(visited) != n:
+        return None
 
     first = RealizationParams(*normalize_parameters(r1, r2, s1, s2))
     assert first.r + first.s == n
@@ -371,17 +371,16 @@ def classify(q: ExchangeQuiver):
     )
 
 
-def _min_rotation(word):
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 def is_symmetric(structure: AtildeStructure) -> bool:
     """True iff the two realizations coincide.
 
     Reversing the traversal reverses the cyclic word of base-arrow blocks
     and flips each orientation flag; the realizations coincide exactly when
-    that reversed word is a rotation of the original.
+    that reversed word is a rotation of the original.  They can only do so
+    when their parameters, which are swaps of each other, are equal.
     """
+    if structure.realization_1 != structure.realization_2:
+        return False
     w1 = structure.elements
     w2 = tuple((1 - f, key) for f, key in reversed(w1))
-    return _min_rotation(w1) == _min_rotation(w2)
+    return any(w1[i:] + w1[:i] == w2 for i in range(len(w1)))

@@ -50,6 +50,12 @@ MIN_DEGREE = 4
 CHECK_FAILURES = (AssertionError, ArithmeticError)
 
 
+def _require(cond, msg=""):
+    """Fail a check; unlike ``assert``, this still runs under ``python -O``."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 @cache
 def cycle_class(r: int, s: int):
     """The enumerated class of the (r, s) cycle; shared, so never modify it."""
@@ -72,7 +78,7 @@ def _census(r: int, s: int):
     symmetric = Counter()
     for q in cycle_class(r, s).representatives():
         st = classify(q)
-        assert st is not None, "class member fell outside the annular family"
+        _require(st is not None, "class member fell outside the annular family")
         params[st.realization_1.as_tuple()] += 1
         realizations[st.realization_1.as_tuple()] += 1
         if is_symmetric(st):
@@ -94,41 +100,43 @@ def _splits(r, s):
 def _class_sizes(r, s):
     got = cycle_class(r, s).size
     expected = counting.a_tilde(r, s)
-    assert got == expected, f"enumerated {got}, formula says {expected}"
+    _require(got == expected, f"enumerated {got}, formula says {expected}")
 
 
 def _dynkin_size(n):
     got = dynkin_class(n).size
     expected = counting.d_n_count(n)
-    assert got == expected, f"enumerated {got}, formula says {expected}"
+    _require(got == expected, f"enumerated {got}, formula says {expected}")
 
 
 def _parameter_census(r, s):
     params, realizations, _ = _census(r, s)
 
     splits = _splits(r, s)
-    assert set(params) <= splits, f"unexpected parameters {set(params) - splits}"
+    _require(set(params) <= splits, f"unexpected parameters {set(params) - splits}")
     for split in sorted(splits):
         expected = counting.derived_class_count(*split)
         got = params.get(split, 0)
-        assert got == expected, f"split {split}: census {got}, formula {expected}"
-    assert sum(params.values()) == counting.a_tilde(r, s)
+        _require(got == expected, f"split {split}: census {got}, formula {expected}")
+    _require(sum(params.values()) == counting.a_tilde(r, s))
 
     # every realization census cell must match the refined count
     for (r1, r2, t1, t2), got in sorted(realizations.items()):
         expected = counting.refined_realization_count(
             r1 + 2 * r2, r2, t1 + 2 * t2, t2
         )
-        assert got == expected, (
-            f"realizations {(r1, r2, t1, t2)}: census {got}, formula {expected}"
+        _require(
+            got == expected,
+            f"realizations {(r1, r2, t1, t2)}: census {got}, formula {expected}",
         )
     total = sum(realizations.values())
     if r == s:
         expected_total = counting.realization_count(r, r)
     else:
         expected_total = counting.realization_count(r, s) + counting.realization_count(s, r)
-    assert total == expected_total, (
-        f"realization total {total}, formula {expected_total}"
+    _require(
+        total == expected_total,
+        f"realization total {total}, formula {expected_total}",
     )
 
 
@@ -137,10 +145,10 @@ def _symmetric_census(r):
     for r2 in range(r // 2 + 1):
         got = symmetric[r2]
         expected = counting.symmetric_count_refined(r, r2)
-        assert got == expected, f"r2 = {r2}: census {got}, formula {expected}"
+        _require(got == expected, f"r2 = {r2}: census {got}, formula {expected}")
     total = sum(symmetric.values())
     expected = counting.symmetric_count(r)
-    assert total == expected, f"census {total}, formula {expected}"
+    _require(total == expected, f"census {total}, formula {expected}")
 
 
 def _marginalization(r, s):
@@ -149,13 +157,13 @@ def _marginalization(r, s):
         for s2 in range(s // 2 + 1):
             total += counting.refined_realization_count(r, r2, s, s2)
     expected = counting.realization_count(r, s)
-    assert total == expected, f"sum {total}, realization count {expected}"
+    _require(total == expected, f"sum {total}, realization count {expected}")
 
 
 def _partition(r, s):
     total = sum(counting.derived_class_count(*split) for split in _splits(r, s))
     expected = counting.a_tilde(r, s)
-    assert total == expected, f"partition sum {total}, class count {expected}"
+    _require(total == expected, f"partition sum {total}, class count {expected}")
 
 
 def _series_quadratic(degree):
@@ -165,7 +173,7 @@ def _series_quadratic(degree):
     z = TruncatedSeries.monomial(variables, degree, z=1)
     z2t = TruncatedSeries.monomial(variables, degree, z=2, t=1)
     rhs = one + 2 * (z * a) + z2t * (a * a)
-    assert a == rhs, "quadratic functional equation fails"
+    _require(a == rhs, "quadratic functional equation fails")
 
 
 def _series_catalan(degree):
@@ -177,7 +185,7 @@ def _series_catalan(degree):
             break
         expected = Fraction(counting.binomial(2 * d + 2, d + 1), d + 2)
         got = a1.coefficient(z=d)
-        assert got == expected, f"z^{d}: {got} != {expected}"
+        _require(got == expected, f"z^{d}: {got} != {expected}")
 
 
 def _series_substitution(degree):
@@ -191,7 +199,7 @@ def _series_substitution(degree):
     q2 = TruncatedSeries.monomial(variables, degree, q=2)
     q2y = TruncatedSeries.monomial(variables, degree, q=2, y=1)
     rhs = base.substitute("p", p + p2x - p2).substitute("q", q + q2y - q2)
-    assert lhs == rhs, "marker substitution identity fails"
+    _require(lhs == rhs, "marker substitution identity fails")
 
 
 def _series_derivative(degree):
@@ -205,8 +213,9 @@ def _series_derivative(degree):
     tq = TruncatedSeries.monomial(variables, degree, t=1, q=1)
     one = TruncatedSeries.constant(variables, degree, 1)
     # squared form keeps everything polynomial
-    assert left * left * (one - 4 * tp) * (one - 4 * tq) == one, (
-        "derivative identity (squared) fails"
+    _require(
+        left * left * (one - 4 * tp) * (one - 4 * tq) == one,
+        "derivative identity (squared) fails",
     )
 
 
@@ -224,12 +233,15 @@ def _series_lists(degree):
         for r2 in range(min(r // 2, degree - r) + 1):
             got = by_weight[r, r2]
             expected = counting.list_count_refined(r, r2)
-            assert got == expected, f"weight {r}, r2 = {r2}: {got}, formula {expected}"
+            _require(
+                got == expected,
+                f"weight {r}, r2 = {r2}: {got}, formula {expected}",
+            )
         # the marker marginal is complete only while r + r//2 fits
         if r + r // 2 <= degree:
             got = sum(by_weight[r, r2] for r2 in range(r // 2 + 1))
             expected = counting.list_count(r)
-            assert got == expected, f"weight {r}: {got}, formula {expected}"
+            _require(got == expected, f"weight {r}: {got}, formula {expected}")
 
 
 def _series_grid(degree):
@@ -242,8 +254,9 @@ def _series_grid(degree):
                         continue
                     got = at.coefficient(p=r, q=s, x=r2, y=s2)
                     expected = counting.refined_realization_count(r, r2, s, s2)
-                    assert got == expected, (
-                        f"[p^{r} q^{s} x^{r2} y^{s2}] = {got}, formula {expected}"
+                    _require(
+                        got == expected,
+                        f"[p^{r} q^{s} x^{r2} y^{s2}] = {got}, formula {expected}",
                     )
     # all-clockwise cycles specialize to the type D count; the marker
     # marginal is complete only while n + n//2 fits under the truncation
@@ -254,7 +267,7 @@ def _series_grid(degree):
             at.coefficient(q=n, y=s2) for s2 in range(n // 2 + 1)
         )
         expected = counting.a_tilde(0, n)
-        assert got == expected, f"[q^{n}] total {got}, formula {expected}"
+        _require(got == expected, f"[q^{n}] total {got}, formula {expected}")
 
 
 def iter_checks(n_max: int = 8, degree: int = 10):

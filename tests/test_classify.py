@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -79,6 +80,14 @@ def test_parse_restricted_to_component():
     q = ExchangeQuiver.from_arrows(4, [(0, 1), (2, 3)])
     assert parse_rooted_type_a(q, 0, vertices={0, 1}) == (1, 0)
     assert parse_rooted_type_a(q, 0) is None  # unreachable leftovers
+
+
+@pytest.mark.parametrize("vertices", [{0, -1, 1}, {0, 7}, {0, 1, 2, 3}])
+def test_parse_rejects_vertices_the_quiver_lacks(vertices):
+    # -1 would alias vertex 2, and 7 would index past the matrix
+    path = ExchangeQuiver.from_arrows(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        parse_rooted_type_a(path, 0, vertices=vertices)
 
 
 # -- classification -----------------------------------------------------------
@@ -182,6 +191,12 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
     start = time.perf_counter()
     assert classify(q) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_classify_rejects_every_type_d_member(dynkin_class):
+    for n in range(4, 11):
+        for q in dynkin_class(n).members.values():
+            assert classify(q) is None, q.b
 
 
 # -- attachment words ----------------------------------------------------------
@@ -361,3 +376,31 @@ def test_base_cycle_is_the_unique_non_oriented_chordless_cycle(cycle_class):
         for r in range(1, n // 2 + 1):
             for q in cycle_class(r, n - r).representatives():
                 assert _non_oriented_cycles(q) == [_cycle_read(classify(q))], q.b
+
+
+def _pinned_inputs(cycle_class):
+    """Every member of every annular class with r + s <= 8, every quiver on
+    2 to 4 vertices with entries in -2..2, then the seeded 5 to 8 vertex
+    sample."""
+    for n in range(2, 9):
+        for r in range(1, n // 2 + 1):
+            yield from cycle_class(r, n - r).representatives()
+    for n in (2, 3, 4):
+        yield from all_quivers(n, range(-2, 3))
+    rng = random.Random(906)
+    for n in range(5, 9):
+        yield from _walk_sample(rng, n)
+
+
+def test_classify_output_is_pinned(cycle_class):
+    # one line of repr(classify(q)) per input; a change to any field of any
+    # result, or to a verdict, changes the digest
+    digest = hashlib.sha256()
+    count = 0
+    for q in _pinned_inputs(cycle_class):
+        digest.update(repr(classify(q)).encode() + b"\n")
+        count += 1
+    assert count == 17882
+    assert digest.hexdigest() == (
+        "127a721920dedf2bfa3ff1b23ffa5a79435cab8584b0d373b2863c62371929c3"
+    )

@@ -238,3 +238,20 @@ def test_runs_as_a_module_from_a_checkout():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "12")
+
+
+def test_verify_checks_run_with_asserts_stripped():
+    # the checks raise explicitly, so ``python -O`` still finds a fault
+    code = (
+        "from quivercount import counting, verify\n"
+        "real = counting.a_tilde\n"
+        "counting.a_tilde = lambda r, s: real(r, s) + 1\n"
+        "print(verify.run_verification(4, 6, log=lambda line: None))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "class-size-atilde-1-1")

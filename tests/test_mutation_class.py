@@ -202,6 +202,27 @@ def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
     assert with_lookup <= 0.7 * calls
 
 
+@pytest.mark.parametrize("seed", list(_reference_seeds()))
+def test_every_skipped_mutation_gives_an_expanded_member(monkeypatch, seed):
+    # members are expanded in insertion order, and a vertex joins a member's
+    # skip set only when the expansion of some member P finds that the
+    # mutation there leads back to P; so each vertex an expansion leaves
+    # out must give a member expanded no later than this one
+    tried = {}  # matrix -> the vertices its expansion mutated
+
+    def recording_mutate(q, k):
+        tried.setdefault(q.b, set()).add(k)
+        return mutate(q, k)
+
+    monkeypatch.setattr(mutation_class, "mutate", recording_mutate)
+    mc = enumerate_class(seed)
+    expanded = set()
+    for key, q in mc.members.items():
+        expanded.add(key)
+        for k in set(range(q.n)) - tried.get(q.b, set()):
+            assert canonical_key(mutate(q, k)) in expanded, (q.b, k)
+
+
 def test_disconnected_seed_rejected():
     with pytest.raises(ValueError):
         enumerate_class(ExchangeQuiver.from_arrows(2, []))
