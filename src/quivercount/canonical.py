@@ -24,7 +24,11 @@ the first-round signature, and its largest entry) depend on the row tuple
 alone.  Mutation shares every row away from the mutated vertex, so a
 caller labeling many related quivers passes one ``memo`` dict that keeps
 them across calls.  The memo lives as long as the caller keeps it; by
-default each call makes its own.
+default each call makes its own.  A labeling reads it in one pass over
+the rows, which also gives the first round: without colors, the first
+partition groups the rows by their sorted entries.  One split loop then
+refines colored and uncolored partitions alike.  The key text of a
+discrete coloring comes from a table of small-integer strings.
 
 :func:`canonical_labeling` also returns the ``order`` behind its key:
 ``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
@@ -43,69 +47,43 @@ from quivercount.quiver import ExchangeQuiver
 
 def _refine(
     adj: list[list[tuple[int, int]]],
-    colors: Sequence[int],
-    first: list[tuple[int, ...]] | None = None,
-    width: int | None = None,
-) -> list[int]:
-    """Stable coloring refining ``colors`` by neighbor (color, entry) multisets.
+    col: list[int],
+    cells: list[tuple[int, list[int]]],
+    width: int,
+) -> list[tuple[int, list[int]]]:
+    """Refine the partition ``col``/``cells`` until it is stable; return the
+    cells still open.
 
-    ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry.  The
-    returned color values are ranks of sorted signatures, hence equal for
-    corresponding vertices of isomorphic quivers.  A discrete coloring is
-    returned as soon as it appears: another round would rank it unchanged.
+    ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry.
+    ``col[v]`` is the first position of v's cell and ``cells`` lists the
+    non-singleton cells as (first position, vertices); both are updated in
+    place.  The caller builds the first partition, from the colors or, for
+    a single color, from each row's sorted entries, which is the first
+    round.  Every call, colored or not, then runs this one split loop.
 
-    Each round signs ``v`` with its color and the sorted (color of u,
-    entry) pairs of its arrows.  The signatures sort by the color first,
-    so a round splits cells in place and signs only non-singleton cells.
-    While refining, a vertex's color is the first position of its cell,
-    which sorts as the cell's rank, so a split recolors only its own
-    cell.  A pair ``(c, e)`` is coded as ``c * width + e``; with ``width
-    = 2 * max|e| + 1``, the default, the codes sort as the pairs do.  So
-    the ranks, and the key bytes built on them, are those of one global
-    sort of the nested signatures.  ``first`` holds each row's sorted
-    nonzero entries, as the caller's row memo keeps them: the first-round
-    signatures when ``colors`` is a single cell.
+    Each round signs ``v`` with the sorted (color of u, entry) pairs of its
+    arrows.  Its color is the first position of its cell, which sorts as
+    the cell's rank, so a round splits cells in place, signs only
+    non-singleton cells and recolors only what it split.  A pair ``(c,
+    e)`` is coded as ``c * width + e``; with ``width = 2 * max|e| + 1`` the
+    codes sort as the pairs do.  So the cells, and the key bytes built on
+    them, are those of one global sort of the nested signatures.  When no
+    cell is left, ``col[v]`` is v's position in the canonical order.
     """
-    n = len(adj)
-    if width is None:
-        width = 2 * max((abs(e) for nbrs in adj for _, e in nbrs), default=0) + 1
-    col = [0] * n  # the first position of each vertex's cell
-    # the non-singleton cells, as (first position, vertices)
-    if len(set(colors)) <= 1:
-        cells = [(0, list(range(n)))] if n > 1 else []
-    else:
-        first = None
-        by_color: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            by_color.setdefault(c, []).append(v)
-        cells = []
-        start = 0
-        for c in sorted(by_color):
-            cell = by_color[c]
-            for v in cell:
-                col[v] = start
-            if len(cell) > 1:
-                cells.append((start, cell))
-            start += len(cell)
     while cells:
         split = []
         kept = []
         for start, cell in cells:
             groups: dict[tuple[int, ...], list[int]] = {}
-            if first is None:
-                for v in cell:
-                    s = tuple(sorted([col[u] * width + e for u, e in adj[v]]))
-                    groups.setdefault(s, []).append(v)
-            else:
-                for v in cell:
-                    groups.setdefault(first[v], []).append(v)
+            for v in cell:
+                s = tuple(sorted([col[u] * width + e for u, e in adj[v]]))
+                groups.setdefault(s, []).append(v)
             if len(groups) == 1:
                 kept.append((start, cell))
             else:
                 split.append((start, [groups[s] for s in sorted(groups)]))
         if not split:
             break
-        first = None
         # every cell was signed with the old colors; recolor only now
         for start, parts in split:
             for part in parts:
@@ -115,29 +93,20 @@ def _refine(
                     kept.append((start, part))
                 start += len(part)
         cells = kept
-    if not cells:
-        return col  # discrete: positions are the ranks
-    rank = {c: r for r, c in enumerate(sorted(set(col)))}
-    return [rank[c] for c in col]
-
-
-def _forced_order(colors):
-    """The only ordering a discrete coloring admits: color ``c`` at position ``c``."""
-    order = [0] * len(colors)
-    for v, c in enumerate(colors):
-        order[c] = v
-    return order
-
-
-def _flat(b, order):
-    """Lower triangle of ``b`` relabeled by ``order``, read row by row."""
-    return [b[v][u] for p, v in enumerate(order) for u in order[:p]]
+    return cells
 
 
 @lru_cache(maxsize=64)
 def _forced_head(n):
     """Key prefix of a discrete coloring on ``n`` vertices: ``n|0,1,...,n-1|``."""
     return "{}|{}|".format(n, ",".join(map(str, range(n))))
+
+
+# _TEXT[e] is str(e) for |e| <= _TEXT_MAX: negative indices count from the end
+_TEXT_MAX = 99
+_TEXT = [str(e) for e in range(_TEXT_MAX + 1)] + [
+    str(e) for e in range(-_TEXT_MAX, 0)
+]
 
 
 def _min_labeling(b, colors):
@@ -229,34 +198,56 @@ def canonical_labeling(
     an empty one.  The memo never changes a result.
     """
     n = q.n
-    if colors is None:
-        init = [0] * n
-    else:
-        init = [int(c) for c in colors]
-        if len(init) != n:
+    if colors is not None:
+        colors = [int(c) for c in colors]
+        if len(colors) != n:
             raise ValueError("colors must assign one class per vertex")
+        if len(set(colors)) <= 1:
+            colors = None
     if n == 0:
         return b"0||", []
     if memo is None:
         memo = {}
     b = q.b
-    infos = []
+    adj = []
+    first = []
+    big = 0
     for row in b:
         info = memo.get(row)
         if info is None:
             nbrs = [(u, e) for u, e in enumerate(row) if e]
             entries = sorted([e for _, e in nbrs])
-            big = max(-entries[0], entries[-1]) if entries else 0
-            info = memo[row] = (nbrs, tuple(entries), big)
-        infos.append(info)
-    adj = [info[0] for info in infos]
-    width = 2 * max([info[2] for info in infos]) + 1
-    refined = _refine(adj, init, [info[1] for info in infos], width)
-    if len(set(refined)) == n:
-        order = _forced_order(refined)
-        key = _forced_head(n) + ",".join(map(str, _flat(b, order)))
+            m = max(-entries[0], entries[-1]) if entries else 0
+            info = memo[row] = (nbrs, tuple(entries), m)
+        adj.append(info[0])
+        first.append(info[1])
+        if info[2] > big:
+            big = info[2]
+    # with one color, the first round groups the rows by their sorted entries
+    by: dict = {}
+    for v, c in enumerate(first if colors is None else colors):
+        by.setdefault(c, []).append(v)
+    col = [0] * n  # the first position of each vertex's cell
+    cells = []
+    start = 0
+    for c in sorted(by):
+        cell = by[c]
+        for v in cell:
+            col[v] = start
+        if len(cell) > 1:
+            cells.append((start, cell))
+        start += len(cell)
+    if not _refine(adj, col, cells, 2 * big + 1):
+        order = [0] * n
+        for v, p in enumerate(col):
+            order[p] = v
+        text = _TEXT if big <= _TEXT_MAX else {e: str(e) for r in b for e in r}
+        key = _forced_head(n) + ",".join(
+            [text[b[v][u]] for p, v in enumerate(order) for u in order[:p]]
+        )
     else:
-        flat, slots, order = _min_labeling(b, refined)
+        rank = {c: r for r, c in enumerate(sorted(set(col)))}
+        flat, slots, order = _min_labeling(b, [rank[c] for c in col])
         key = "{}|{}|{}".format(
             n, ",".join(map(str, slots)), ",".join(map(str, flat))
         )

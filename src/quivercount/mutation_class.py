@@ -142,10 +142,11 @@ def enumerate_class(
             if k in skip:
                 continue  # this mutation gives back a known member
             q2 = mutate(q, k)
-            # k has the same neighbours before and after the mutation
-            bk = b[k]
-            ins = [i for i, x in enumerate(bk) if x < 0]
-            outs = [j for j, x in enumerate(bk) if x > 0]
+            # k has the same neighbours before and after the mutation; q was
+            # labeled through the memo, so its rows' nonzero pairs are there
+            nbrs = memo[b[k]][0]
+            ins = [i for i, x in nbrs if x < 0]
+            outs = [j for j, x in nbrs if x > 0]
             m = _changed_multiplicity(q2.b, ins, outs)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)

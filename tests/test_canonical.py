@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_isomorphic, random_quiver, reference_canonical_labeling
 from quivercount.canonical import (
-    _flat,
-    _forced_order,
     _min_labeling,
     _refine,
     are_isomorphic,
@@ -53,10 +51,18 @@ def test_pinned_key_bytes(q, colors, key):
 @given(quivers(max_n=7))
 @settings(max_examples=200, deadline=None)
 def test_forced_labeling_matches_search_on_discrete_colorings(q):
+    n = q.n
     adj = [[(u, e) for u, e in enumerate(row) if e] for row in q.b]
-    colors = _refine(adj, [0] * q.n)
-    assume(len(set(colors)) == q.n)
-    assert _flat(q.b, _forced_order(colors)) == _min_labeling(q.b, colors)[0]
+    width = 2 * max((abs(e) for row in q.b for e in row), default=0) + 1
+    col = [0] * n
+    assume(not _refine(adj, col, [(0, list(range(n)))] if n > 1 else [], width))
+    # no cell left open: vertex v sits at position col[v], and the search
+    # over orderings of the discrete coloring finds only that one
+    order = sorted(range(n), key=col.__getitem__)
+    flat = [q.b[v][u] for p, v in enumerate(order) for u in order[:p]]
+    best, _, best_order = _min_labeling(q.b, col)
+    assert (flat, order) == (best, best_order)
+    assert canonical_labeling(q)[1] == order
 
 
 @given(quivers(max_n=9, max_mult=3), st.data())
@@ -74,6 +80,21 @@ def test_labeling_matches_the_global_sort_reference(q, data):
     for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
         got = canonical_labeling(x, colors, memo=memo)
         assert got == reference_canonical_labeling(x, colors)
+
+
+@pytest.mark.parametrize("big", [99, 100, 1000])
+def test_key_text_of_large_entries_matches_the_reference(big):
+    # a discrete coloring writes its key text from a table of small-integer
+    # strings; entries past the table take the str fallback
+    q = ExchangeQuiver.from_arrows(
+        5, [(0, 1, big), (2, 1, 3), (2, 3, big), (3, 4, 1), (4, 0, 2)]
+    )
+    for colors in (None, [0, 1, 1, 0, 1]):
+        key, order = canonical_labeling(q, colors)
+        _, slots, flat = key.split(b"|")
+        assert slots == b"0,1,2,3,4"
+        assert big in [abs(int(e)) for e in flat.split(b",")]
+        assert (key, order) == reference_canonical_labeling(q, colors)
 
 
 def test_labeling_matches_the_reference_on_class_members(cycle_class):

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -255,3 +256,94 @@ def test_verify_checks_run_with_asserts_stripped():
         capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "class-size-atilde-1-1")
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+# the draft-07 keywords the schemas in docs/ use, and so all the checker reads
+SCHEMA_KEYWORDS = {
+    "$schema", "$id", "title", "description", "type", "required",
+    "additionalProperties", "properties", "items", "pattern", "minimum",
+}
+JSON_TYPES = {
+    "object": dict, "array": list, "string": str, "integer": int,
+    "boolean": bool, "null": type(None),
+}
+
+
+def schema_errors(value, schema, path="$"):
+    """Where ``value`` breaks ``schema``, for the draft-07 subset above."""
+    unknown = set(schema) - SCHEMA_KEYWORDS
+    if unknown:
+        raise ValueError(f"the checker does not read {sorted(unknown)}")
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    # bool is an int subtype in Python but not an integer in JSON
+    if types and not any(
+        isinstance(value, JSON_TYPES[t])
+        and not (t == "integer" and isinstance(value, bool))
+        for t in types
+    ):
+        return [f"{path}: {value!r} is not {' or '.join(types)}"]
+    errors = []
+    if isinstance(value, dict):
+        errors += [f"{path}: {name} is missing"
+                   for name in schema.get("required", []) if name not in value]
+        props = schema.get("properties", {})
+        for name, item in value.items():
+            if name in props:
+                errors += schema_errors(item, props[name], f"{path}.{name}")
+            elif schema.get("additionalProperties") is False:
+                errors.append(f"{path}: {name} is not allowed")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            errors += schema_errors(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, str) and not re.search(schema.get("pattern", ""), value):
+        errors.append(f"{path}: {value!r} does not match {schema['pattern']}")
+    if (
+        isinstance(value, int) and not isinstance(value, bool)
+        and value < schema.get("minimum", value)
+    ):
+        errors.append(f"{path}: {value} is below {schema['minimum']}")
+    return errors
+
+
+def _schema(name):
+    return json.loads((DOCS / f"{name}-output.schema.json").read_text())
+
+
+def test_schema_checker_finds_each_kind_of_fault():
+    entry = {"key": "0a", "matrix": [[0]], "depth": 0}
+    assert schema_errors([entry], _schema("enumerate")) == []
+    for fault in [
+        {"key": "0A"},
+        {"depth": -1},
+        {"depth": True},
+        {"matrix": [[0.5]]},
+        {"extra": 1},
+    ]:
+        assert len(schema_errors([{**entry, **fault}], _schema("enumerate"))) == 1
+    assert len(schema_errors([{"key": "0a"}], _schema("enumerate"))) == 2
+    member = {"atilde": False, "r1": None, "r2": None, "s1": None, "s2": None,
+              "r": None, "s": None, "symmetric": None}
+    assert schema_errors(member, _schema("classify")) == []
+    assert len(schema_errors({**member, "r": 0}, _schema("classify"))) == 1
+    assert len(schema_errors({**member, "atilde": None}, _schema("classify"))) == 1
+
+
+def test_enumerate_json_matches_its_schema(capsys, tmp_path):
+    out = tmp_path / "members.json"
+    assert run(["enumerate", "--cycle", "2", "3", "--json", str(out)]) == 0
+    capsys.readouterr()
+    entries = json.loads(out.read_text())
+    assert len(entries) == 12
+    assert schema_errors(entries, _schema("enumerate")) == []
+
+
+def test_classify_json_matches_its_schema(capsys, tmp_path, data_dir):
+    oriented = tmp_path / "oriented.quiver"
+    write_quiver(ExchangeQuiver.from_arrows(3, [(0, 1), (1, 2), (2, 0)]), oriented)
+    for path, member in [(data_dir / "atilde16.quiver", True), (oriented, False)]:
+        assert run(["classify", "--file", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["atilde"] is member
+        assert schema_errors(payload, _schema("classify")) == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,55 @@ def test_enumeration_matches_reference_bfs(seed):
     assert list(mc.members.items()) == list(ref.members.items())
     assert mc.depths == ref.depths
     assert mc.representatives() == ref.representatives()
+
+
+# sha-256 of the class's JSON dump, then the walk's mutate and
+# canonical_labeling calls; a change to the walk's shortcuts that moves a
+# count updates it here and says why
+PINNED_WALKS = {
+    "atilde-2-4-relabelled": (
+        "06ab50b19c0b458989ba552bbcf3c160c5af3ab6b03b8b81e0f87862d4891707", 111, 72
+    ),
+    "dynkin-d-6-relabelled": (
+        "ba6764f60fcfa7ac78365bd3c990628fec211626dce736f9093f47bb7385c920", 270, 190
+    ),
+    "atilde-3-5-relabelled": (
+        "1af3b1f29b805582dc49539e0343ca69803f9ca2530549b8a763bd2c276f3bdf", 1260, 663
+    ),
+    "atilde-4-4-relabelled": (
+        "ecf001f236c76a2f49b3a7eb8a4cc47fd41f9408de99fa759c5428687b1e9e90", 745, 511
+    ),
+    "dynkin-d-7-relabelled": (
+        "e47c3e82ae9d54a4fa8dee649073a07fad861caa00179bb4153b9e21264608d1", 930, 581
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, pin",
+    [
+        pytest.param(*p.values, PINNED_WALKS[p.id], id=p.id)
+        for p in _reference_seeds()
+        if p.id in PINNED_WALKS
+    ],
+)
+def test_walk_output_and_call_counts_are_pinned(monkeypatch, seed, pin):
+    calls = {"mutate": 0, "canonical_labeling": 0}
+    labeling = mutation_class.canonical_labeling
+
+    def counting_mutate(q, k):
+        calls["mutate"] += 1
+        return mutate(q, k)
+
+    def counting_labeling(q, **kwargs):
+        calls["canonical_labeling"] += 1
+        return labeling(q, **kwargs)
+
+    monkeypatch.setattr(mutation_class, "mutate", counting_mutate)
+    monkeypatch.setattr(mutation_class, "canonical_labeling", counting_labeling)
+    dump = json.dumps(class_to_json(enumerate_class(seed)), sort_keys=True)
+    digest = hashlib.sha256(dump.encode("ascii")).hexdigest()
+    assert (digest, calls["mutate"], calls["canonical_labeling"]) == pin
 
 
 def test_walk_skips_edges_back_to_known_members(monkeypatch):
