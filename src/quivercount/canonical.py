@@ -10,9 +10,10 @@ The signed entries act directly as edge colors, so directed multiple arrows
 need no gadget expansion.  Vertices with identical matrix rows are
 interchangeable by an automorphism and are collapsed to one search branch,
 which keeps degenerate highly symmetric inputs from exploding.  When
-refinement already gives every vertex its own color, the ordering is forced
-and the search is skipped; this is the common case for quivers met during
-class enumeration, and the key bytes are the same either way.
+refinement already gives every vertex its own color, or leaves open only
+cells of such twins, the ordering is forced and the search is skipped; this
+is the common case for quivers met during class enumeration, and the key
+bytes are the same either way.
 
 Refinement is cell-local.  A round only splits cells in place, so it signs
 just the vertices of non-singleton cells, codes each (color, entry) pair
@@ -161,6 +162,7 @@ def _min_labeling(b, colors):
             del flat[base:]
 
     rec(True)
+    del rec  # rec's closure holds rec: free it now, not in the collector
     assert best is not None
     return best, slots, best_order
 
@@ -237,7 +239,8 @@ def canonical_labeling(
         if len(cell) > 1:
             cells.append((start, cell))
         start += len(cell)
-    if not _refine(adj, col, cells, 2 * big + 1):
+    cells = _refine(adj, col, cells, 2 * big + 1)
+    if not cells:
         order = [0] * n
         for v, p in enumerate(col):
             order[p] = v
@@ -247,7 +250,13 @@ def canonical_labeling(
         )
     else:
         rank = {c: r for r, c in enumerate(sorted(set(col)))}
-        flat, slots, order = _min_labeling(b, [rank[c] for c in col])
+        if all(b[v] == b[cell[0]] for _, cell in cells for v in cell):
+            # twins only: the search's one leaf takes each cell in vertex order
+            order = sorted(range(n), key=col.__getitem__)
+            slots = [rank[col[v]] for v in order]
+            flat = [b[v][u] for p, v in enumerate(order) for u in order[:p]]
+        else:
+            flat, slots, order = _min_labeling(b, [rank[c] for c in col])
         key = "{}|{}|{}".format(
             n, ",".join(map(str, slots)), ",".join(map(str, flat))
         )

@@ -26,7 +26,11 @@ result is a known member, which is within the cap.
   queued member are the cases where sigma is the identity.
 - Since a member is within the cap, only the entries a mutation changed are
   checked against it: rows of k's in-neighbours at columns of its
-  out-neighbours.
+  out-neighbours.  The check runs only before a labeling: a quiver that
+  the exact-repeat or the swapped-matrix lookup places is a stored member,
+  or one with its entries swapped, so within the cap, and a quiver over
+  the cap misses both, so it is caught at the same vertex as when every
+  mutation is checked.
 - Pentagons of the exchange graph close by a swap.  For a single arrow
   between k and u, mu_k mu_u mu_k mu_u mu_k(Q) is Q with k and u swapped
   (Fomin & Zelevinsky, "Cluster algebras I", arXiv:math/0104151).  So
@@ -142,20 +146,17 @@ def enumerate_class(
             if k in skip:
                 continue  # this mutation gives back a known member
             q2 = mutate(q, k)
-            # k has the same neighbours before and after the mutation; q was
-            # labeled through the memo, so its rows' nonzero pairs are there
-            nbrs = memo[b[k]][0]
-            ins = [i for i, x in nbrs if x < 0]
-            outs = [j for j, x in nbrs if x > 0]
-            m = _changed_multiplicity(q2.b, ins, outs)
-            if m > multiplicity_cap:
-                raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             key2 = known.get(q2.b)
             if key2 is not None:
                 entry = pending.get(key2)
                 if entry is not None:
                     entry[1].add(k)  # sigma is the identity
                 continue
+            # k has the same neighbours before and after the mutation; q was
+            # labeled through the memo, so its rows' nonzero pairs are there
+            nbrs = memo[b[k]][0]
+            ins = [i for i, x in nbrs if x < 0]
+            outs = [j for j, x in nbrs if x > 0]
             hit = _swapped_member(q2.b, k, ins + outs, pending_rows[k], known)
             if hit is not None:
                 key2, u = hit
@@ -163,6 +164,11 @@ def enumerate_class(
                 if entry is not None:
                     entry[1].add(u)  # sigma swaps k and u
                 continue
+            # a hit above is a stored member or a swap of one, so within
+            # the cap; only a quiver that reaches a labeling can exceed it
+            m = _changed_multiplicity(q2.b, ins, outs)
+            if m > multiplicity_cap:
+                raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             key2, order2 = canonical_labeling(q2, memo=memo)
             entry = pending.get(key2)
             if entry is not None:

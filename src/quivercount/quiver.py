@@ -102,9 +102,16 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     bk = b[k]
     # only two-paths i -> k -> j change entries off row and column k;
     # every row away from k is unchanged and shared
-    ins = [(i, -x) for i, x in enumerate(bk) if x < 0]
-    outs = [(j, x) for j, x in enumerate(bk) if x > 0]
+    ins = []
+    outs = []
+    for i, x in enumerate(bk):
+        if x < 0:
+            ins.append((i, -x))
+        elif x:
+            outs.append((i, x))
     rows = list(b)
+    # a tuple built from a list is sized exactly; one built from an iterator
+    # keeps spare slots, and the walk's memo and members keep these rows
     rows[k] = tuple([-x for x in bk])
     for i, a in ins:
         row = list(b[i])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_isomorphic, random_quiver, reference_canonical_labeling
+from quivercount import canonical
 from quivercount.canonical import (
     _min_labeling,
     _refine,
@@ -80,6 +82,58 @@ def test_labeling_matches_the_global_sort_reference(q, data):
     for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
         got = canonical_labeling(x, colors, memo=memo)
         assert got == reference_canonical_labeling(x, colors)
+
+
+@st.composite
+def quivers_with_twins(draw):
+    # each clone copies a vertex's row, with a 0 entry between the two, so
+    # the clone and the vertex are twins: their rows are identical
+    b = [list(row) for row in draw(quivers(max_n=6, max_mult=3)).b]
+    for _ in range(draw(st.integers(1, 9 - len(b)))):
+        v = draw(st.integers(0, len(b) - 1))
+        for row in b:
+            row.append(row[v])
+        b.append(list(b[v]))
+    perm = draw(st.permutations(range(len(b))))
+    return relabel(ExchangeQuiver.from_matrix(b), perm)
+
+
+@given(quivers_with_twins(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_twin_cells_are_labeled_as_the_search_labels_them(q, data):
+    # when refinement leaves open only cells of twins, the labeling is
+    # written without a search; it must be the search's own leaf
+    colors = data.draw(
+        st.none() | st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)
+    )
+    assert canonical_labeling(q, colors) == reference_canonical_labeling(q, colors)
+
+
+def test_twin_leaves_skip_the_search(monkeypatch):
+    # the two fork tips of D_6 are twins and refinement splits every
+    # other vertex, so no search runs
+    q = relabel(seed_dynkin_d(6), [4, 0, 5, 2, 1, 3])
+    want = reference_canonical_labeling(q)
+
+    def no_search(b, colors):
+        raise AssertionError("searched a labeling that only twins leave open")
+
+    monkeypatch.setattr(canonical, "_min_labeling", no_search)
+    assert canonical_labeling(q) == want
+    assert want[0].split(b"|")[1] == b"0,1,2,3,4,4"
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # refinement leaves the oriented 4-cycle one cell of four, so the
+    # search runs; what it builds must be freed when it returns
+    q = seed_cycle(0, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_key(q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("big", [99, 100, 1000])

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from oracles import reference_enumerate
+import oracles
+from oracles import random_quiver, reference_enumerate
 from quivercount import mutation_class
 from quivercount.canonical import canonical_key
 from quivercount.counting import a_tilde
@@ -22,6 +24,7 @@ from quivercount.quiver import (
     mutate,
     read_quiver,
     relabel,
+    underlying_graph_connected,
 )
 
 
@@ -117,6 +120,50 @@ def test_cap_exceeded_during_walk():
         with pytest.raises(CapExceeded) as ref:
             reference_enumerate(q, multiplicity_cap=cap)
         assert (ref.value.depth, ref.value.quiver) == (depth, err.quiver)
+
+
+def test_cap_parity_on_a_seeded_sample(monkeypatch):
+    # the walk checks the cap only before a labeling; on small seeds with
+    # entries up to 3 it must stop exactly where the unshortened walk stops,
+    # or finish with the same members, and it never mutates more
+    calls = {"reference": 0, "walk": 0}
+    arrow_list = oracles.mutate_arrow_list
+
+    def counting_arrow_list(q, k):
+        calls["reference"] += 1
+        return arrow_list(q, k)
+
+    def bounded_mutate(q, k):
+        calls["walk"] += 1
+        assert calls["walk"] <= calls["reference"], "walked past the reference"
+        return mutate(q, k)
+
+    monkeypatch.setattr(oracles, "mutate_arrow_list", counting_arrow_list)
+    monkeypatch.setattr(mutation_class, "mutate", bounded_mutate)
+    rng = random.Random(2009)
+    outcomes = {"raised": 0, "finished": 0}
+    seeds = 0
+    while seeds < 200:
+        q = random_quiver(rng, rng.randint(2, 4), max_mult=3, density=0.8)
+        if not underlying_graph_connected(q):
+            continue
+        seeds += 1
+        cap = rng.randint(2, 4)
+        calls.update(reference=0, walk=0)
+        try:
+            ref = reference_enumerate(q, multiplicity_cap=cap)
+        except CapExceeded as err:
+            with pytest.raises(CapExceeded) as info:
+                enumerate_class(q, multiplicity_cap=cap)
+            got = info.value
+            assert (got.multiplicity, got.depth, got.quiver) == (
+                err.multiplicity, err.depth, err.quiver
+            )
+            outcomes["raised"] += 1
+        else:
+            assert enumerate_class(q, multiplicity_cap=cap).keys() == ref.keys()
+            outcomes["finished"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_raised_cap_admits_seeds_within_it():
