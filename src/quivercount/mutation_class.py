@@ -24,13 +24,13 @@ result is a known member, which is within the cap.
   mu_sigma(k)(N) ~ mu_k(X) = q, and N is not mutated at sigma(k) (q only
   when sigma(k) comes after k).  The parent edge and an exact repeat of a
   queued member are the cases where sigma is the identity.
-- Since a member is within the cap, only the entries a mutation changed are
-  checked against it: rows of k's in-neighbours at columns of its
-  out-neighbours.  The check runs only before a labeling: a quiver that
-  the exact-repeat or the swapped-matrix lookup places is a stored member,
-  or one with its entries swapped, so within the cap, and a quiver over
-  the cap misses both, so it is caught at the same vertex as when every
-  mutation is checked.
+- The cap is checked only on a quiver that reaches a labeling: a quiver
+  that the exact-repeat or the swapped-matrix lookup places is a stored
+  member, or one with its entries swapped, so within the cap, and a quiver
+  over the cap misses both, so it is caught at the same vertex as when
+  every mutation is checked.  Only the rows at k's neighbours change, and
+  the labeling leaves each row's largest entry in the memo, so the check
+  reads those rows' maxima there.
 - Pentagons of the exchange graph close by a swap.  For a single arrow
   between k and u, mu_k mu_u mu_k mu_u mu_k(Q) is Q with k and u swapped
   (Fomin & Zelevinsky, "Cluster algebras I", arXiv:math/0104151).  So
@@ -38,9 +38,10 @@ result is a known member, which is within the cap.
   u swapped among the stored matrices.  A hit is a member N whose matrix
   equals the swapped one, so the swap is an isomorphism X -> N,
   mu_u(N) ~ mu_k(X) = q, and N is not mutated at u.  A miss is cheap:
-  the whole swapped matrix is built only when its row k is some pending
-  member's row at k, and the walk counts those rows as members are
-  queued and expanded.
+  the whole swapped matrix is built only when its row k is some stored
+  member's row at k, and the walk collects those rows as members are
+  stored.  A hit on a member already expanded skips only a labeling that
+  would find that member and change nothing.
 
 The canonical labelings of one walk share a memo of row invariants, since
 mutation shares every row away from the mutated vertex; the memo goes with
@@ -49,6 +50,7 @@ the walk.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 from collections import deque
@@ -132,9 +134,7 @@ def enumerate_class(
     # members queued or being expanded: key -> (canonical order, vertices
     # not to mutate)
     pending = {key0: (order0, set())}
-    # pending_rows[v]: row -> number of pending members with that row at v
-    pending_rows: list[dict] = [{} for _ in range(seed.n)]
-    _count_rows(pending_rows, seed.b, 1)
+    rows_at = [{row} for row in seed.b]  # rows_at[v]: stored members' rows at v
     queue = deque([key0])
     while queue:
         key = queue.popleft()
@@ -155,21 +155,19 @@ def enumerate_class(
             # k has the same neighbours before and after the mutation; q was
             # labeled through the memo, so its rows' nonzero pairs are there
             nbrs = memo[b[k]][0]
-            ins = [i for i, x in nbrs if x < 0]
-            outs = [j for j, x in nbrs if x > 0]
-            hit = _swapped_member(q2.b, k, ins + outs, pending_rows[k], known)
+            hit = _swapped_member(q2.b, k, nbrs, rows_at[k], known)
             if hit is not None:
                 key2, u = hit
                 entry = pending.get(key2)
                 if entry is not None:
                     entry[1].add(u)  # sigma swaps k and u
                 continue
-            # a hit above is a stored member or a swap of one, so within
-            # the cap; only a quiver that reaches a labeling can exceed it
-            m = _changed_multiplicity(q2.b, ins, outs)
+            key2, order2 = canonical_labeling(q2, memo=memo)
+            # the labeling put q2's rows in the memo; only the rows at k's
+            # neighbours changed, and q is within the cap
+            m = max(memo[q2.b[u]][2] for u, _ in nbrs)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)
-            key2, order2 = canonical_labeling(q2, memo=memo)
             entry = pending.get(key2)
             if entry is not None:
                 order_n, skip_n = entry
@@ -179,41 +177,11 @@ def enumerate_class(
                 depths[key2] = d + 1
                 known[q2.b] = key2
                 pending[key2] = (order2, {k})
-                _count_rows(pending_rows, q2.b, 1)
+                for rows, row in zip(rows_at, q2.b):
+                    rows.add(row)
                 queue.append(key2)
         del pending[key]
-        _count_rows(pending_rows, b, -1)
     return MutationClass(seed, members, depths)
-
-
-def _changed_multiplicity(b2, ins, outs) -> int:
-    """Largest multiplicity among the entries a mutation at k changed.
-
-    ``b2`` is the mutated matrix and ``ins`` and ``outs`` are k's in- and
-    out-neighbours.  Only entries (i, j) with i -> k -> j change in
-    absolute value, so when the parent is within the cap, the cap is
-    exceeded exactly when this value exceeds it, and then it equals the
-    largest multiplicity overall.
-    """
-    m = 0
-    if outs:
-        for i in ins:
-            row = b2[i]
-            for j in outs:
-                a = abs(row[j])
-                if a > m:
-                    m = a
-    return m
-
-
-def _count_rows(pending_rows: list[dict], b, step: int) -> None:
-    """Add ``step`` to the count of each (vertex, row) pair of ``b``."""
-    for counts, row in zip(pending_rows, b):
-        c = counts.get(row, 0) + step
-        if c:
-            counts[row] = c
-        else:
-            del counts[row]
 
 
 def _swapped(row, k: int, u: int):
@@ -223,15 +191,16 @@ def _swapped(row, k: int, u: int):
     return tuple(row)
 
 
-def _swapped_member(b, k: int, nbrs, rows_at_k: dict, known: dict):
+def _swapped_member(b, k: int, nbrs, rows_at_k: set, known: dict):
     """``(key, u)`` for a stored member equal to ``b`` with k and u swapped.
 
-    ``u`` runs over ``nbrs``, the neighbours of k.  Row k of the swapped
-    matrix is row u of ``b`` with entries k and u exchanged, so the whole
-    matrix is built only when that row is some pending member's row at k,
-    per ``rows_at_k``.  Returns None when no swap gives a stored member.
+    ``u`` runs over the neighbours of k, given as ``nbrs``, the memo's
+    nonzero ``(u, e)`` pairs of row k.  Row k of the swapped matrix is row
+    u of ``b`` with entries k and u exchanged, so the whole matrix is built
+    only when that row is some stored member's row at k, per
+    ``rows_at_k``.  Returns None when no swap gives a stored member.
     """
-    for u in nbrs:
+    for u, _ in nbrs:
         if _swapped(b[u], k, u) not in rows_at_k:
             continue
         # swap columns k and u, sharing the rows whose entries there agree,
@@ -297,8 +266,14 @@ def write_class_json(mc: MutationClass, path) -> None:
 
 
 def write_class_dir(mc: MutationClass, path) -> None:
-    """One quiver file per member, numbered in canonical key order."""
+    """One quiver file per member, numbered in canonical key order.
+
+    Raises ValueError, writing nothing, when ``path`` already holds member
+    files: a dump over another class's would mix the two.
+    """
     os.makedirs(path, exist_ok=True)
+    if fnmatch.filter(os.listdir(path), "member-*.quiver"):
+        raise ValueError(f"{path} already holds member-*.quiver files")
     for idx, key in enumerate(mc.keys()):
         header = f"key {key.hex()}\ndepth {mc.depths[key]}"
         write_quiver(

@@ -275,10 +275,9 @@ class TruncatedSeries:
             out[key] = out.get(key, 0) + c
         return TruncatedSeries(self.variables, self.degree, out)
 
-    def embed(self, variables, rename=None, degree=None) -> "TruncatedSeries":
+    def embed(self, variables, rename=None) -> "TruncatedSeries":
         """Transfer into another ring, optionally renaming variables."""
         variables = tuple(variables)
-        degree = self.degree if degree is None else degree
         pos = {v: i for i, v in enumerate(variables)}
         idxmap = []
         for v in self.variables:
@@ -291,26 +290,6 @@ class TruncatedSeries:
                 tup[idxmap[i]] += e
             key = tuple(tup)
             out[key] = out.get(key, 0) + c
-        return TruncatedSeries(variables, degree, out)
-
-    def mark_total_degree(self, variables, marker: str) -> "TruncatedSeries":
-        """Embed into a ring with ``marker`` tracking each term's total degree.
-
-        Realizes substitutions like p -> t*p, q -> t*q in one step.
-        """
-        variables = tuple(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        midx = pos[marker]
-        idxmap = [pos[v] for v in self.variables]
-        out = {}
-        for exps, c in self.coeffs.items():
-            d = sum(exps)
-            tup = [0] * len(variables)
-            for i, e in enumerate(exps):
-                tup[idxmap[i]] += e
-            tup[midx] += d
-            if sum(tup) <= self.degree:
-                out[tuple(tup)] = c
         return TruncatedSeries(variables, self.degree, out)
 
 
@@ -373,8 +352,8 @@ def b_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSeries:
     """
     p, q, x, y = variables
     a = solve_a_point(degree, ("z", "t"))
-    ap = a.embed(variables, {"z": p, "t": x}, degree)
-    aq = a.embed(variables, {"z": q, "t": y}, degree)
+    ap = a.embed(variables, {"z": p, "t": x})
+    aq = a.embed(variables, {"z": q, "t": y})
     P = TruncatedSeries.monomial(variables, degree, **{p: 1})
     Q = TruncatedSeries.monomial(variables, degree, **{q: 1})
     P2x = TruncatedSeries.monomial(variables, degree, **{p: 2, x: 1})
@@ -390,8 +369,8 @@ def b_series_at_unit(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSe
     """
     p, q = variables[0], variables[1]
     a1 = solve_a_point(degree, ("z",))
-    ap = a1.embed(variables, {"z": p}, degree)
-    aq = a1.embed(variables, {"z": q}, degree)
+    ap = a1.embed(variables, {"z": p})
+    aq = a1.embed(variables, {"z": q})
     P = TruncatedSeries.monomial(variables, degree, **{p: 1})
     Q = TruncatedSeries.monomial(variables, degree, **{q: 1})
     P2 = TruncatedSeries.monomial(variables, degree, **{p: 2})

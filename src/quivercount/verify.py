@@ -205,12 +205,13 @@ def _series_substitution(degree):
 def _series_derivative(degree):
     variables = ("t", "p", "q")
     b2 = b_series_at_unit(degree, ("p", "q"))
-    marked = b2.mark_total_degree(variables, "t")
+    tp = TruncatedSeries.monomial(variables, degree, t=1, p=1)
+    tq = TruncatedSeries.monomial(variables, degree, t=1, q=1)
+    # t marks each term's total degree: p -> t*p, q -> t*q
+    marked = b2.embed(variables).substitute("p", tp).substitute("q", tq)
     lhs = log_one_over_one_minus(marked)
     t = TruncatedSeries.monomial(variables, degree, t=1)
     left = 1 + 2 * (t * lhs.derivative("t"))
-    tp = TruncatedSeries.monomial(variables, degree, t=1, p=1)
-    tq = TruncatedSeries.monomial(variables, degree, t=1, q=1)
     one = TruncatedSeries.constant(variables, degree, 1)
     # squared form keeps everything polynomial
     _require(

@@ -102,6 +102,15 @@ def test_enumerate_seed_file_with_dumps(capsys, tmp_path):
     assert set(entries[0]) == {"key", "matrix", "depth"}
 
 
+def test_enumerate_refuses_a_directory_with_members(capsys, tmp_path):
+    out_dir = tmp_path / "members"
+    assert run(["enumerate", "--cycle", "2", "3", "--out", str(out_dir)]) == 0
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    assert run(["enumerate", "--cycle", "1", "2", "--out", str(out_dir)]) == 2
+    assert "member-*.quiver" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
 def test_enumerate_cap_exceeded_exits_three(capsys, tmp_path):
     seed = tmp_path / "wild.quiver"
     write_quiver(ExchangeQuiver.from_arrows(2, [(0, 1, 3)]), seed)

@@ -188,6 +188,7 @@ def _reference_seeds():
     # skipped vertex is found through the search's ordering
     for n in range(3, 7):
         yield pytest.param(seed_cycle(0, n), id=f"oriented-{n}-cycle")
+    yield pytest.param(seed_dynkin_d(8), id="dynkin-d-8")
     relabelled = relabel(seed_dynkin_d(6), [4, 0, 5, 2, 1, 3])
     yield pytest.param(relabelled, id="dynkin-d-6-relabelled")
     # the swapped-matrix lookup hits by labelled equality, so which edges it
@@ -228,6 +229,14 @@ PINNED_WALKS = {
     ),
     "dynkin-d-7-relabelled": (
         "e47c3e82ae9d54a4fa8dee649073a07fad861caa00179bb4153b9e21264608d1", 930, 581
+    ),
+    # automorphisms and twin cells, where the swapped-matrix lookup's row
+    # filter could first move a count
+    "oriented-6-cycle": (
+        "94acb2dc8a3e26488f1e057e1b0b0ef0d3dc4f34a8153c77c57077028873537f", 268, 202
+    ),
+    "dynkin-d-8": (
+        "0d29395600b4105dd9ba5fc9cebb6cba10ac5474c6e9faf5f0243604605b8903", 3477, 2021
     ),
 }
 
