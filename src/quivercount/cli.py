@@ -14,6 +14,7 @@ from quivercount import counting
 from quivercount.classify import classify, is_symmetric
 from quivercount.mutation_class import (
     CapExceeded,
+    _refuse_member_files,
     enumerate_class,
     seed_cycle,
     seed_dynkin_d,
@@ -111,6 +112,8 @@ def _cmd_enumerate(args) -> int:
         seed = seed_dynkin_d(args.dynkin_d)
     else:
         seed = read_quiver(args.seed)
+    if args.out:
+        _refuse_member_files(args.out)
     mc = enumerate_class(seed, multiplicity_cap=args.cap)
     if args.out:
         write_class_dir(mc, args.out)

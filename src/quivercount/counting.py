@@ -31,12 +31,6 @@ def euler_phi(k: int) -> int:
     return result
 
 
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def multinomial(top: int, parts) -> int:
     """``top! / prod(part!)``, extended by zero outside the support.
 

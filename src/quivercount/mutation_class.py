@@ -265,6 +265,12 @@ def write_class_json(mc: MutationClass, path) -> None:
         fh.write("\n")
 
 
+def _refuse_member_files(path) -> None:
+    """Raise ValueError when ``path`` holds member files; a missing path passes."""
+    if os.path.exists(path) and fnmatch.filter(os.listdir(path), "member-*.quiver"):
+        raise ValueError(f"{path} already holds member-*.quiver files")
+
+
 def write_class_dir(mc: MutationClass, path) -> None:
     """One quiver file per member, numbered in canonical key order.
 
@@ -272,8 +278,7 @@ def write_class_dir(mc: MutationClass, path) -> None:
     files: a dump over another class's would mix the two.
     """
     os.makedirs(path, exist_ok=True)
-    if fnmatch.filter(os.listdir(path), "member-*.quiver"):
-        raise ValueError(f"{path} already holds member-*.quiver files")
+    _refuse_member_files(path)
     for idx, key in enumerate(mc.keys()):
         header = f"key {key.hex()}\ndepth {mc.depths[key]}"
         write_quiver(

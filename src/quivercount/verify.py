@@ -12,14 +12,14 @@ range is one rule of the two scale parameters ``n_max`` and ``degree``
 
 - ``class-size-atilde-r-s``, ``parameter-census-r-s``, ``partition-r-s``:
   r + s <= n_max
-- ``class-size-dynkin-d-n``: 4 <= n <= n_max
+- ``class-size-dynkin-d-n``: 4 <= n <= n_max, and classify rejects every member
 - ``symmetric-census-r``: r <= n_max // 2, each r2 cell and the total
 - ``marginalization-r-s``: r, s <= n_max - 2, in either order
 - ``series-*``: the six series identities at truncation degree ``degree``
 
-Enumerated classes and classifier censuses are memoised for the life of
-the process, so a class is enumerated and classified once however many
-checks and callers read it.
+Each annular class is enumerated and classified once, in one pass, and
+only its summary (size and censuses) is memoised: the members are dropped
+when the pass returns.  A type D class is enumerated by its one check.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
+from math import comb
 
 from quivercount import counting
 from quivercount.classify import classify, is_symmetric
@@ -57,35 +58,28 @@ def _require(cond, msg=""):
 
 
 @cache
-def cycle_class(r: int, s: int):
-    """The enumerated class of the (r, s) cycle; shared, so never modify it."""
-    return enumerate_class(seed_cycle(r, s))
-
-
-@cache
-def dynkin_class(n: int):
-    """The enumerated type D class of rank ``n``, memoised like :func:`cycle_class`."""
-    return enumerate_class(seed_dynkin_d(n))
-
-
-@cache
-def _census(r: int, s: int):
-    """Classifier sweep over the (r, s) class: the census of first
-    realizations, of both realizations (one for a symmetric member), and
-    of symmetric members by 3-cycles per side."""
+def _summary(r: int, s: int):
+    """Enumerate and classify the (r, s) class in one pass: its size, the
+    number of members classify rejects, and the censuses of first
+    realizations, of both realizations (one for a symmetric member), and of
+    symmetric members by 3-cycles per side."""
+    mc = enumerate_class(seed_cycle(r, s))
+    outside = 0
     params = Counter()
     realizations = Counter()
     symmetric = Counter()
-    for q in cycle_class(r, s).representatives():
+    for q in mc.representatives():
         st = classify(q)
-        _require(st is not None, "class member fell outside the annular family")
+        if st is None:
+            outside += 1
+            continue
         params[st.realization_1.as_tuple()] += 1
         realizations[st.realization_1.as_tuple()] += 1
         if is_symmetric(st):
             symmetric[st.realization_1.r2] += 1
         else:
             realizations[st.realization_2.as_tuple()] += 1
-    return params, realizations, symmetric
+    return mc.size, outside, params, realizations, symmetric
 
 
 def _splits(r, s):
@@ -98,19 +92,22 @@ def _splits(r, s):
 
 
 def _class_sizes(r, s):
-    got = cycle_class(r, s).size
+    got = _summary(r, s)[0]
     expected = counting.a_tilde(r, s)
     _require(got == expected, f"enumerated {got}, formula says {expected}")
 
 
 def _dynkin_size(n):
-    got = dynkin_class(n).size
+    mc = enumerate_class(seed_dynkin_d(n))
     expected = counting.d_n_count(n)
-    _require(got == expected, f"enumerated {got}, formula says {expected}")
+    _require(mc.size == expected, f"enumerated {mc.size}, formula says {expected}")
+    accepted = sum(classify(q) is not None for q in mc.representatives())
+    _require(accepted == 0, f"classify accepted {accepted} type D members")
 
 
 def _parameter_census(r, s):
-    params, realizations, _ = _census(r, s)
+    _, outside, params, realizations, _ = _summary(r, s)
+    _require(outside == 0, "class member fell outside the annular family")
 
     splits = _splits(r, s)
     _require(set(params) <= splits, f"unexpected parameters {set(params) - splits}")
@@ -141,7 +138,7 @@ def _parameter_census(r, s):
 
 
 def _symmetric_census(r):
-    symmetric = _census(r, r)[2]
+    symmetric = _summary(r, r)[4]
     for r2 in range(r // 2 + 1):
         got = symmetric[r2]
         expected = counting.symmetric_count_refined(r, r2)
@@ -183,7 +180,7 @@ def _series_catalan(degree):
     for d in range(degree + 1):
         if d + d // 2 > degree:
             break
-        expected = Fraction(counting.binomial(2 * d + 2, d + 1), d + 2)
+        expected = Fraction(comb(2 * d + 2, d + 1), d + 2)
         got = a1.coefficient(z=d)
         _require(got == expected, f"z^{d}: {got} != {expected}")
 

@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import sys
 
@@ -6,18 +7,14 @@ import pytest
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from quivercount import verify  # noqa: E402
+from quivercount.mutation_class import enumerate_class, seed_cycle  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def cycle_class():
-    """Enumerated annular classes, from the cache ``verify`` reads too."""
-    return verify.cycle_class
-
-
-@pytest.fixture(scope="session")
-def dynkin_class():
-    return verify.dynkin_class
+    """Enumerated annular classes, each enumerated once per session; shared,
+    so never modify one."""
+    return functools.cache(lambda r, s: enumerate_class(seed_cycle(r, s)))
 
 
 @pytest.fixture

@@ -74,7 +74,13 @@ def test_criterion_2_formula_vs_enumeration(capsys):
 
 def test_criterion_3_type_d_cross_check(capsys):
     failures = _run_registry(("class-size-dynkin-d-",))
-    _report(capsys, 3, "type D class sizes match for n = 4..10, rank 4 exception included", failures)
+    _report(
+        capsys,
+        3,
+        "type D class sizes match for n = 4..10, rank 4 exception included, "
+        "and classify rejects every member",
+        failures,
+    )
 
 
 def test_criterion_4_refined_partition(capsys):

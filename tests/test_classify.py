@@ -193,12 +193,6 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
     assert time.perf_counter() - start < 1.0
 
 
-def test_classify_rejects_every_type_d_member(dynkin_class):
-    for n in range(4, 11):
-        for q in dynkin_class(n).members.values():
-            assert classify(q) is None, q.b
-
-
 # -- attachment words ----------------------------------------------------------
 
 

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from quivercount import cli, verify
 from quivercount.cli import run
+from quivercount.mutation_class import seed_cycle
 from quivercount.quiver import ExchangeQuiver, read_quiver, write_quiver
 
 
@@ -102,13 +104,25 @@ def test_enumerate_seed_file_with_dumps(capsys, tmp_path):
     assert set(entries[0]) == {"key", "matrix", "depth"}
 
 
-def test_enumerate_refuses_a_directory_with_members(capsys, tmp_path):
+def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_path):
     out_dir = tmp_path / "members"
     assert run(["enumerate", "--cycle", "2", "3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
     before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
-    assert run(["enumerate", "--cycle", "1", "2", "--out", str(out_dir)]) == 2
-    assert "member-*.quiver" in capsys.readouterr().err
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a class whose dump is refused")
+
+    # the refusal comes before the walk, which can take minutes
+    monkeypatch.setattr(cli, "enumerate_class", no_walk)
+    assert run(["enumerate", "--dynkin-d", "10", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out_dir} already holds member-*.quiver files\n"
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+    # a file in place of the directory is refused before the walk too
+    member = out_dir / sorted(before)[0]
+    assert run(["enumerate", "--dynkin-d", "10", "--out", str(member)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_enumerate_cap_exceeded_exits_three(capsys, tmp_path):
@@ -230,6 +244,42 @@ def test_verify_failure_names_first_identity(capsys, monkeypatch, fault):
     captured = capsys.readouterr()
     assert "FAIL class-size-atilde-1-1" in captured.out
     assert "class-size-atilde-1-1" in captured.err
+
+
+@pytest.fixture
+def fresh_summaries():
+    """Class summaries computed under the test's patches, then forgotten."""
+    verify._summary.cache_clear()
+    yield
+    verify._summary.cache_clear()
+
+
+def test_verify_names_the_census_when_a_member_is_rejected(monkeypatch, fresh_summaries):
+    real = verify.classify
+    rejected = []
+
+    def rejects_one_member(q):
+        if q.n == 3 and not rejected:
+            rejected.append(q)
+            return None
+        return real(q)
+
+    monkeypatch.setattr(verify, "classify", rejects_one_member)
+    lines = []
+    assert verify.run_verification(3, 4, log=lines.append) == "parameter-census-1-2"
+    assert "ok class-size-atilde-1-2" in lines
+    assert lines[-1].startswith("FAIL parameter-census-1-2: class member fell outside")
+
+
+def test_verify_names_the_type_d_check_when_a_member_is_accepted(
+    monkeypatch, fresh_summaries
+):
+    real = verify.classify
+    annular = real(seed_cycle(1, 2))
+    monkeypatch.setattr(verify, "classify", lambda q: real(q) or annular)
+    lines = []
+    assert verify.run_verification(4, 4, log=lines.append) == "class-size-dynkin-d-4"
+    assert lines[-1].startswith("FAIL class-size-dynkin-d-4: classify accepted")
 
 
 def test_verify_default_scale_passes(capsys):

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_cycle_log_coefficient_small():
                 for s2 in range(s // 2 + 1)
             )
             expected = Fraction(
-                counting.binomial(2 * r, r) * counting.binomial(2 * s, s),
+                comb(2 * r, r) * comb(2 * s, s),
                 2 * (r + s),
             )
             assert total == expected

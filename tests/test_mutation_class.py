@@ -353,3 +353,7 @@ def test_class_dir_dump_roundtrips(cycle_class, tmp_path):
     assert len(files) == mc.size
     keys = {canonical_key(read_quiver(f)) for f in files}
     assert keys == set(mc.members)
+    # a second dump would mix two classes' members
+    with pytest.raises(ValueError, match="member-"):
+        write_class_dir(cycle_class(2, 2), out)
+    assert sorted(out.iterdir()) == files

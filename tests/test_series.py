@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +97,7 @@ def test_log_of_block_alphabet_matches_binomial_form():
                 continue
             got = lg.coefficient(p=r, q=s)
             want = Fraction(
-                counting.binomial(2 * r, r) * counting.binomial(2 * s, s),
+                comb(2 * r, r) * comb(2 * s, s),
                 2 * (r + s),
             )
             assert got == want, (r, s)
