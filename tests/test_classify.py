@@ -19,7 +19,7 @@ from quivercount.classify import (
     is_symmetric,
     parse_rooted_type_a,
 )
-from quivercount.mutation_class import seed_cycle, seed_dynkin_d
+from quivercount.mutation_class import enumerate_class, seed_cycle, seed_dynkin_d
 from quivercount.quiver import (
     ExchangeQuiver,
     mutate,
@@ -191,6 +191,12 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
     start = time.perf_counter()
     assert classify(q) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_classify_rejects_every_type_d_member():
+    for n in range(4, 11):
+        for q in enumerate_class(seed_dynkin_d(n)).members.values():
+            assert classify(q) is None, q.b
 
 
 # -- attachment words ----------------------------------------------------------
