@@ -28,8 +28,9 @@ them across calls.  The memo lives as long as the caller keeps it; by
 default each call makes its own.  A labeling reads it in one pass over
 the rows, which also gives the first round: without colors, the first
 partition groups the rows by their sorted entries.  One split loop then
-refines colored and uncolored partitions alike.  The key text of a
-discrete coloring comes from a table of small-integer strings.
+refines colored and uncolored partitions alike.  Every key is then written
+the same way from the order: the matrix entries come from a table of
+small-integer strings, and the head lists each position's cell rank.
 
 :func:`canonical_labeling` also returns the ``order`` behind its key:
 ``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
@@ -113,9 +114,8 @@ _TEXT = [str(e) for e in range(_TEXT_MAX + 1)] + [
 def _min_labeling(b, colors):
     """Least relabeled matrix over orderings listing color classes in order.
 
-    Returns ``(flat, slots, order)`` where ``flat`` is the lower triangle of
-    the minimal matrix read row by row, ``slots`` the color of each position
-    and ``order`` the vertex at each position of one minimal ordering.
+    Returns ``order``, the vertex at each position of one ordering whose
+    lower matrix triangle, read row by row, is least.
     """
     n = len(b)
     slots = sorted(colors)
@@ -164,7 +164,7 @@ def _min_labeling(b, colors):
     rec(True)
     del rec  # rec's closure holds rec: free it now, not in the collector
     assert best is not None
-    return best, slots, best_order
+    return best_order
 
 
 def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> bytes:
@@ -206,8 +206,6 @@ def canonical_labeling(
             raise ValueError("colors must assign one class per vertex")
         if len(set(colors)) <= 1:
             colors = None
-    if n == 0:
-        return b"0||", []
     if memo is None:
         memo = {}
     b = q.b
@@ -240,26 +238,21 @@ def canonical_labeling(
             cells.append((start, cell))
         start += len(cell)
     cells = _refine(adj, col, cells, 2 * big + 1)
-    if not cells:
-        order = [0] * n
-        for v, p in enumerate(col):
-            order[p] = v
-        text = _TEXT if big <= _TEXT_MAX else {e: str(e) for r in b for e in r}
-        key = _forced_head(n) + ",".join(
-            [text[b[v][u]] for p, v in enumerate(order) for u in order[:p]]
-        )
+    if not cells or all(b[v] == b[cell[0]] for _, cell in cells for v in cell):
+        # settled: no cell is open, or only cells of twins, which the
+        # search's one leaf takes in vertex order
+        order = sorted(range(n), key=col.__getitem__)
     else:
+        order = _min_labeling(b, col)
+    if cells:
         rank = {c: r for r, c in enumerate(sorted(set(col)))}
-        if all(b[v] == b[cell[0]] for _, cell in cells for v in cell):
-            # twins only: the search's one leaf takes each cell in vertex order
-            order = sorted(range(n), key=col.__getitem__)
-            slots = [rank[col[v]] for v in order]
-            flat = [b[v][u] for p, v in enumerate(order) for u in order[:p]]
-        else:
-            flat, slots, order = _min_labeling(b, [rank[c] for c in col])
-        key = "{}|{}|{}".format(
-            n, ",".join(map(str, slots)), ",".join(map(str, flat))
-        )
+        head = "{}|{}|".format(n, ",".join([str(rank[col[v]]) for v in order]))
+    else:
+        head = _forced_head(n)
+    text = _TEXT if big <= _TEXT_MAX else {e: str(e) for r in b for e in r}
+    key = head + ",".join(
+        [text[b[v][u]] for p, v in enumerate(order) for u in order[:p]]
+    )
     return key.encode("ascii"), order
 
 

@@ -173,26 +173,24 @@ def _walk_rooted(b, rest, root, visited):
     return plain, cycles, bytes(word)
 
 
-def parse_rooted_type_a(q: ExchangeQuiver, root: int, vertices=None):
+def parse_rooted_type_a(q: ExchangeQuiver, root: int):
     """Parse a rooted type A quiver, returning (plain arrows, 3-cycles).
 
     Follows the recursive description: from the root, either nothing, or a
     single arrow to a smaller rooted quiver, or an oriented 3-cycle with
     rooted quivers at its two far vertices.  Returns None when the
     structure does not match (wrong degrees, a non-oriented or chorded
-    cycle, double arrows, unreachable leftovers).  Raises ValueError when
-    ``root`` is not in ``vertices`` or a vertex is not one of ``q``'s.
+    cycle, double arrows, vertices the walk from ``root`` does not reach).
+    Raises ValueError when ``root`` is not a vertex of ``q``.
     """
+    if root not in range(q.n):
+        raise ValueError(f"root must lie in range({q.n})")
     b = q.b
-    vs = set(vertices) if vertices is not None else set(range(q.n))
-    if root not in vs:
-        raise ValueError("root must belong to the vertex set")
-    if not vs.issubset(range(q.n)):
-        raise ValueError(f"vertices must lie in range({q.n})")
-    rest = {u: {v for v in vs if b[u][v]} for u in vs}
+    rest = [set(compress(range(q.n), row)) for row in b]
     visited = {root}
     walked = _walk_rooted(b, rest, root, visited)
-    if walked is None or visited != vs or any(rest.values()):
+    # a walk that reaches every vertex has taken every arrow
+    if walked is None or len(visited) != q.n:
         return None
     return walked[:2]
 

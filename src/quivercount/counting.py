@@ -34,9 +34,8 @@ def euler_phi(k: int) -> int:
 def multinomial(top: int, parts) -> int:
     """``top! / prod(part!)``, extended by zero outside the support.
 
-    Returns 0 when any part is negative or the parts do not sum to ``top``.
-    The zero extension is what makes the inner index sums below finite: out
-    of range terms vanish through their multinomial factor.
+    Returns 0 when any part is negative or the parts do not sum to ``top``,
+    so a caller may sum over a range wider than the support.
     """
     total = 0
     for p in parts:
@@ -91,12 +90,11 @@ def cycle_log_coefficient(r: int, r2: int, s: int, s2: int) -> Fraction:
 
 
 def _side_multinomials(r: int, r2: int) -> list[tuple[int, int]]:
-    """The nonzero ``(i, multinomial(2i, (i, 2i - r, r2, r - r2 - i)))``."""
+    """The ``(i, multinomial(2i, (i, 2i - r, r2, r - r2 - i)))`` over the
+    multinomial's support, r/2 <= i <= r - r2."""
     out = []
     for i in range((r + 1) // 2, r - r2 + 1):
-        m = multinomial(2 * i, (i, 2 * i - r, r2, r - r2 - i))
-        if m:
-            out.append((i, m))
+        out.append((i, multinomial(2 * i, (i, 2 * i - r, r2, r - r2 - i))))
     return out
 
 

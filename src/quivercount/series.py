@@ -131,12 +131,12 @@ class TruncatedSeries:
         return cls(variables, degree, {(0,) * len(tuple(variables)): value})
 
     @classmethod
-    def monomial(cls, variables, degree, coeff=1, **exps):
+    def monomial(cls, variables, degree, **exps):
         variables = tuple(variables)
         tup = [0] * len(variables)
         for var, e in exps.items():
             tup[variables.index(var)] = e
-        return cls(variables, degree, {tuple(tup): coeff})
+        return cls(variables, degree, {tuple(tup): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -342,22 +342,22 @@ def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     return _unpack(parts, variables, degree)
 
 
-def b_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSeries:
-    """Alphabet of base-arrow blocks.
+def b_series(degree: int) -> TruncatedSeries:
+    """Alphabet of base-arrow blocks, in the variables (p, q, x, y).
 
     A block is a base arrow oriented one way (weight p, 3-cycles marked by
     x) or the other (weight q, marked by y), optionally carrying an
     oriented 3-cycle that roots a type A quiver:
     B = p + p^2 x A(p, x) + q + q^2 y A(q, y).
     """
-    p, q, x, y = variables
+    variables = ("p", "q", "x", "y")
     a = solve_a_point(degree, ("z", "t"))
-    ap = a.embed(variables, {"z": p, "t": x})
-    aq = a.embed(variables, {"z": q, "t": y})
-    P = TruncatedSeries.monomial(variables, degree, **{p: 1})
-    Q = TruncatedSeries.monomial(variables, degree, **{q: 1})
-    P2x = TruncatedSeries.monomial(variables, degree, **{p: 2, x: 1})
-    Q2y = TruncatedSeries.monomial(variables, degree, **{q: 2, y: 1})
+    ap = a.embed(variables, {"z": "p", "t": "x"})
+    aq = a.embed(variables, {"z": "q", "t": "y"})
+    P = TruncatedSeries.monomial(variables, degree, p=1)
+    Q = TruncatedSeries.monomial(variables, degree, q=1)
+    P2x = TruncatedSeries.monomial(variables, degree, p=2, x=1)
+    Q2y = TruncatedSeries.monomial(variables, degree, q=2, y=1)
     return P + P2x * ap + Q + Q2y * aq
 
 
@@ -378,8 +378,9 @@ def b_series_at_unit(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSe
     return P + P2 * ap + Q + Q2 * aq
 
 
-def atilde_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSeries:
-    """Generating function of realizations: cycles of base-arrow blocks.
+def atilde_series(degree: int) -> TruncatedSeries:
+    """Generating function of realizations, in the variables of
+    :func:`b_series`: cycles of base-arrow blocks.
 
     The unlabelled cycle construction weights each divisor k by phi(k)/k
     and evaluates the log at exponent-scaled arguments.  That log is L(v^k)
@@ -387,7 +388,7 @@ def atilde_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSerie
     phi(k) (theta L)_(e/k) over the k dividing e, and the sum over |e| must
     be an integer: a remainder raises ArithmeticError.
     """
-    log = log_one_over_one_minus(b_series(degree, variables))
+    log = log_one_over_one_minus(b_series(degree))
     phi = [0] + [euler_phi(k) for k in range(1, degree + 1)]
     sums: dict[tuple[int, ...], int] = {}
     for exps, c in log.coeffs.items():
@@ -405,4 +406,4 @@ def atilde_series(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSerie
             raise ArithmeticError(
                 f"coefficient at {exps} is {total}/{sum(exps)}, not an integer"
             )
-    return TruncatedSeries(variables, degree, sums)
+    return TruncatedSeries(("p", "q", "x", "y"), degree, sums)

@@ -187,7 +187,7 @@ def _series_catalan(degree):
 
 def _series_substitution(degree):
     variables = ("p", "q", "x", "y")
-    lhs = b_series(degree, variables)
+    lhs = b_series(degree)
     base = b_series_at_unit(degree, variables)
     p = TruncatedSeries.monomial(variables, degree, p=1)
     p2 = TruncatedSeries.monomial(variables, degree, p=2)
@@ -268,7 +268,7 @@ def _series_grid(degree):
         _require(got == expected, f"[q^{n}] total {got}, formula {expected}")
 
 
-def iter_checks(n_max: int = 8, degree: int = 10):
+def iter_checks(n_max: int, degree: int):
     """List the checks at this scale as (name, thunk) pairs.
 
     Thunks raise one of ``CHECK_FAILURES`` on failure.  Raises ValueError
@@ -305,7 +305,7 @@ def iter_checks(n_max: int = 8, degree: int = 10):
     return checks
 
 
-def run_verification(n_max: int = 8, degree: int = 10, log=print):
+def run_verification(n_max: int, degree: int, log=print):
     """Run all checks; return the name of the first failure, or None."""
     for name, thunk in iter_checks(n_max, degree):
         try:

@@ -107,10 +107,10 @@ def reference_canonical_labeling(q: ExchangeQuiver, colors=None):
         ncell = len(rank)
     if len(rank) == n:
         order = sorted(range(n), key=colors.__getitem__)
-        slots = list(range(n))
-        flat = [b[v][u] for p, v in enumerate(order) for u in order[:p]]
     else:
-        flat, slots, order = _min_labeling(b, colors)
+        order = _min_labeling(b, colors)
+    slots = sorted(colors)
+    flat = [b[v][u] for p, v in enumerate(order) for u in order[:p]]
     key = f"{n}|{','.join(map(str, slots))}|{','.join(map(str, flat))}"
     return key.encode("ascii"), order
 

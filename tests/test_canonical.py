@@ -1,12 +1,11 @@
 import gc
-import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isomorphic, random_quiver, reference_canonical_labeling
+from oracles import brute_force_isomorphic, reference_canonical_labeling
 from quivercount import canonical
 from quivercount.canonical import (
     _min_labeling,
@@ -21,6 +20,8 @@ from test_quiver import quivers
 
 # Key bytes appear in `enumerate --json`, so they are pinned literally.
 PINNED_KEYS = [
+    pytest.param(ExchangeQuiver.from_matrix([]), None, b"0||", id="empty"),
+    pytest.param(ExchangeQuiver.from_matrix([[0]]), None, b"1|0|", id="one-vertex"),
     pytest.param(
         seed_cycle(2, 3), None, b"5|0,1,2,3,4|1,1,0,0,1,0,0,0,1,1", id="atilde-2-3"
     ),
@@ -61,9 +62,7 @@ def test_forced_labeling_matches_search_on_discrete_colorings(q):
     # no cell left open: vertex v sits at position col[v], and the search
     # over orderings of the discrete coloring finds only that one
     order = sorted(range(n), key=col.__getitem__)
-    flat = [q.b[v][u] for p, v in enumerate(order) for u in order[:p]]
-    best, _, best_order = _min_labeling(q.b, col)
-    assert (flat, order) == (best, best_order)
+    assert _min_labeling(q.b, col) == order
     assert canonical_labeling(q)[1] == order
 
 
@@ -220,16 +219,6 @@ def test_key_is_permutation_invariant(q, data):
 @settings(max_examples=100, deadline=None)
 def test_agreement_with_exhaustive_search(q1, q2):
     assert are_isomorphic(q1, q2) == brute_force_isomorphic(q1, q2)
-
-
-def test_exhaustive_orbit_small():
-    rng = random.Random(7)
-    for n in (2, 3, 4, 5):
-        for _ in range(8):
-            q = random_quiver(rng, n)
-            key = canonical_key(q)
-            for perm in itertools.permutations(range(n)):
-                assert canonical_key(relabel(q, perm)) == key
 
 
 def test_agreement_on_enumerated_class_pairs(cycle_class):

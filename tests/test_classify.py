@@ -76,18 +76,17 @@ def test_parse_walks_past_the_recursion_limit():
     assert parse_rooted_type_a(path, 0) == (n - 1, 0)
 
 
-def test_parse_restricted_to_component():
+def test_parse_rejects_unreachable_leftovers():
     q = ExchangeQuiver.from_arrows(4, [(0, 1), (2, 3)])
-    assert parse_rooted_type_a(q, 0, vertices={0, 1}) == (1, 0)
-    assert parse_rooted_type_a(q, 0) is None  # unreachable leftovers
+    assert parse_rooted_type_a(q, 0) is None
 
 
-@pytest.mark.parametrize("vertices", [{0, -1, 1}, {0, 7}, {0, 1, 2, 3}])
-def test_parse_rejects_vertices_the_quiver_lacks(vertices):
-    # -1 would alias vertex 2, and 7 would index past the matrix
+@pytest.mark.parametrize("root", [-1, 3, 7])
+def test_parse_rejects_a_root_the_quiver_lacks(root):
+    # -1 would alias vertex 2, and 3 and 7 would index past the matrix
     path = ExchangeQuiver.from_arrows(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        parse_rooted_type_a(path, 0, vertices=vertices)
+        parse_rooted_type_a(path, root)
 
 
 # -- classification -----------------------------------------------------------

@@ -282,14 +282,6 @@ def test_verify_names_the_type_d_check_when_a_member_is_accepted(
     assert lines[-1].startswith("FAIL class-size-dynkin-d-4: classify accepted")
 
 
-def test_verify_default_scale_passes(capsys):
-    assert run(["verify", "--n-max", "8", "--degree", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "ok class-size-dynkin-d-8" in out
-    assert "ok series-coefficient-grid" in out
-
-
 def test_runs_as_a_module_from_a_checkout():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -81,16 +81,6 @@ def test_cycle_log_coefficient_small():
             assert total == expected
 
 
-def test_a_tilde_small_and_table():
-    assert a_tilde(1, 1) == 1
-    assert a_tilde(1, 2) == 2
-    assert a_tilde(2, 2) == 4
-    assert a_tilde(1, 3) == 5
-    assert a_tilde(5, 5) == 1651
-    assert a_tilde(1, 9) == 4862
-    assert a_tilde(4, 5) == 980
-
-
 def test_a_tilde_symmetric_in_arguments():
     assert a_tilde(3, 7) == a_tilde(7, 3) == 3432
 
