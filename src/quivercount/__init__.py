@@ -10,7 +10,6 @@ from quivercount import counting, series
 from quivercount.canonical import are_isomorphic, canonical_key
 from quivercount.classify import (
     AtildeStructure,
-    Attachment,
     RealizationParams,
     classify,
     is_symmetric,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtildeStructure",
-    "Attachment",
     "CapExceeded",
     "ExchangeQuiver",
     "MutationClass",

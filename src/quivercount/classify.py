@@ -23,9 +23,11 @@ an attachment.  The peel may reject early, but only the account accepts,
 so the peel has to find the right cycle on members alone, and no input
 makes the search for it exponential.
 
-Each walk also writes its attachment's word, an exact key of the rooted
-quiver up to root-preserving isomorphism, so deciding whether the two
-realizations coincide needs no canonical labeling.
+Each walk writes its attachment as a word, an exact key of the rooted
+quiver up to root-preserving isomorphism.  The word is all that is kept of
+the attachment: its plain arrows and 3-cycles are read off it
+(``_counts``), and deciding whether the two realizations coincide needs no
+canonical labeling.
 """
 
 from __future__ import annotations
@@ -76,47 +78,28 @@ class RealizationParams:
 
 
 @dataclass(frozen=True)
-class Attachment:
-    """A rooted type A quiver hanging off one base arrow via a 3-cycle.
-
-    ``key`` is the word the walk from ``root`` writes: one ASCII byte per
-    vertex, depth first from the root, for what that vertex took: ``.``
-    nothing, ``>`` a single arrow out of it, ``<`` a single arrow into it,
-    ``^`` an oriented 3-cycle.  After ``^`` comes the subtree of the vertex
-    the arrow out leads to, then that of the vertex the arrow in comes
-    from.  Each byte fixes how many subtrees follow it (0, 1, 1 or 2), so
-    the word is a prefix code that decodes to one rooted type A quiver;
-    and the walk chooses by arrow directions only, never by labels.  So
-    two attachments have equal keys exactly when a root-preserving
-    isomorphism maps one onto the other.
-    """
-
-    root: int
-    plain_arrows: int
-    cycle_count: int
-    key: bytes
-
-
-@dataclass(frozen=True)
 class AtildeStructure:
     """Parsed annular quiver.
 
     ``base_cycle`` lists the base arrows as directed (tail, head) pairs in
     traversal order around the cycle; for the double arrow both strands
-    appear.  ``attachments`` aligns with it.  ``elements`` is the cyclic
-    word the realization reads off: a flag for whether the base arrow
-    follows the traversal, plus the attachment key (empty for none); the
-    reversed flipped word is the other realization.
+    appear.  ``apexes`` aligns with it: the apex of the oriented 3-cycle
+    on each base arrow, or None.  ``elements`` is the cyclic word the
+    realization reads off: a flag for whether the base arrow follows the
+    traversal, plus the word of the attachment at its apex (empty for
+    none, see ``_walk_rooted``); the reversed flipped word is the other
+    realization.
     """
 
     base_cycle: tuple[tuple[int, int], ...]
-    attachments: tuple[Optional[Attachment], ...]
+    apexes: tuple[Optional[int], ...]
     realization_1: RealizationParams
     realization_2: RealizationParams
     elements: tuple[tuple[int, bytes], ...]
 
 
-# The bytes of an attachment's word, one per vertex the walk reaches.
+# The bytes of a rooted type A quiver's word, one per vertex its walk
+# reaches, for what that vertex took (see _walk_rooted).
 _NONE, _OUT, _IN, _TRIANGLE = b".><^"
 
 
@@ -129,12 +112,19 @@ def _walk_rooted(b, rest, root, visited):
     reached takes all of its untaken arrows: none, one single arrow to a
     fresh vertex, or two single arrows to fresh vertices that close an
     oriented 3-cycle.  Anything else, a step onto a visited vertex
-    included, fails the walk.  Returns (plain arrows, 3-cycles, word), and
-    leaves the vertices in ``visited`` and the arrows deleted from
-    ``rest``.  The word has one byte per vertex reached, in the order the
-    walk reaches them, for what that vertex took (see ``Attachment.key``).
+    included, fails the walk.  Returns the word the walk writes, and leaves
+    the vertices in ``visited`` and the arrows deleted from ``rest``.
+
+    The word has one ASCII byte per vertex, depth first from the root, for
+    what that vertex took: ``.`` nothing, ``>`` a single arrow out of it,
+    ``<`` a single arrow into it, ``^`` an oriented 3-cycle.  After ``^``
+    comes the subtree of the vertex the arrow out leads to, then that of
+    the vertex the arrow in comes from.  Each byte fixes how many subtrees
+    follow it (0, 1, 1 or 2), so the word is a prefix code that decodes to
+    one rooted type A quiver; and the walk chooses by arrow directions
+    only, never by labels.  So two rooted quivers have equal words exactly
+    when a root-preserving isomorphism maps one onto the other.
     """
-    plain = cycles = 0
     word = bytearray()
     stack = [root]
     while stack:
@@ -151,7 +141,6 @@ def _walk_rooted(b, rest, root, visited):
             if abs(row[w]) != 1:
                 return None
             rest[w].remove(x)
-            plain += 1
             word.append(_OUT if row[w] > 0 else _IN)
             fresh = (w,)
         elif len(inc) == 2:
@@ -163,14 +152,23 @@ def _walk_rooted(b, rest, root, visited):
             inc.clear()
             rest[out_] -= {x, in_}
             rest[in_] -= {x, out_}
-            cycles += 1
             word.append(_TRIANGLE)
             fresh = (in_, out_)  # the out-vertex is popped first
         else:
             return None
         visited.update(fresh)
         stack += fresh
-    return plain, cycles, bytes(word)
+    return bytes(word)
+
+
+def _counts(word: bytes) -> tuple[int, int]:
+    """(plain arrows, 3-cycles) of the rooted type A quiver ``word`` spells.
+
+    Each vertex writes one byte; past the root, a plain arrow brings one
+    vertex and a ``^`` brings two.
+    """
+    cycles = word.count(_TRIANGLE)
+    return len(word) - 1 - 2 * cycles, cycles
 
 
 def parse_rooted_type_a(q: ExchangeQuiver, root: int):
@@ -188,11 +186,11 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int):
     b = q.b
     rest = [set(compress(range(q.n), row)) for row in b]
     visited = {root}
-    walked = _walk_rooted(b, rest, root, visited)
+    word = _walk_rooted(b, rest, root, visited)
     # a walk that reaches every vertex has taken every arrow
-    if walked is None or len(visited) != q.n:
+    if word is None or len(visited) != q.n:
         return None
-    return walked[:2]
+    return _counts(word)
 
 
 def _base_cycle(b, adj) -> Optional[tuple[int, ...]]:
@@ -286,9 +284,9 @@ def classify(q: ExchangeQuiver):
     Cost on n vertices: one O(n^2) pass over the matrix for the neighbour
     sets and multiplicities, then a peel linear in n, and apex picks and
     walks that take each arrow once, by deleting it from both ends of the
-    neighbour sets; the walks write the attachment keys, so no canonical
-    key is computed.  Nothing
-    recurses, so the cost holds up to the vertex ceiling of ``loads``.
+    neighbour sets; the walks write the attachment words, so no canonical
+    key is computed.  Nothing recurses, so the cost holds up to the vertex
+    ceiling of ``loads``.
     """
     b = q.b
     n = q.n
@@ -330,18 +328,15 @@ def classify(q: ExchangeQuiver):
             rest[y].remove(z)
 
     r1 = r2 = s1 = s2 = 0
-    attachments: list[Optional[Attachment]] = []
     elements = []
     for z, (_, _, forward) in zip(apexes, strands):
         if z is None:
             plain, cycles, word = 1, 0, b""
-            attachments.append(None)
         else:
-            walked = _walk_rooted(b, rest, z, visited)
-            if walked is None:
+            word = _walk_rooted(b, rest, z, visited)
+            if word is None:
                 return None
-            plain, cycles, word = walked
-            attachments.append(Attachment(z, plain, cycles, word))
+            plain, cycles = _counts(word)
             cycles += 1
         elements.append((1 if forward else 0, word))
         if forward:
@@ -362,7 +357,7 @@ def classify(q: ExchangeQuiver):
     assert first.r + first.s == n
     return AtildeStructure(
         base_cycle=tuple((x, y) for x, y, _ in strands),
-        attachments=tuple(attachments),
+        apexes=tuple(apexes),
         realization_1=first,
         realization_2=first.swapped(),
         elements=tuple(elements),

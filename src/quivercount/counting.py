@@ -170,14 +170,12 @@ def symmetric_count(r: int) -> int:
 
 def symmetric_count_refined(r: int, r2: int) -> int:
     """Symmetric quivers with parameters (r, r) and r2 oriented 3-cycles
-    per side, i.e. 2*r2 in total."""
+    per side, i.e. 2*r2 in total: half the block lists that
+    :func:`list_count_refined` counts, as :func:`symmetric_count` is half
+    of :func:`list_count`."""
     if r < 1 or not 0 <= 2 * r2 <= r:
         raise ValueError("need r >= 1 and 0 <= 2*r2 <= r")
-    return _as_int(_pow2(r - 2 * r2 - 1) * multinomial(r, (r2, r2, r - 2 * r2)))
-
-
-def _pow2(e: int) -> Fraction:
-    return Fraction(2**e) if e >= 0 else Fraction(1, 2 ** (-e))
+    return _as_int(Fraction(list_count_refined(r, r2), 2))
 
 
 def derived_class_count(r1: int, r2: int, s1: int, s2: int) -> int:

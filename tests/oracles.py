@@ -206,10 +206,10 @@ def reference_is_symmetric(q: ExchangeQuiver, structure) -> bool:
     """Whether the reversed word, orientation flags flipped, is a rotation
     of the word, with each attachment keyed by ``reference_rooted_key``."""
     word = [
-        (forward, b"" if att is None else reference_rooted_key(
-            q, attachment_vertices(q, structure, att.root), att.root
+        (forward, b"" if z is None else reference_rooted_key(
+            q, attachment_vertices(q, structure, z), z
         ))
-        for (forward, _), att in zip(structure.elements, structure.attachments)
+        for (forward, _), z in zip(structure.elements, structure.apexes)
     ]
     mirror = [(1 - forward, key) for forward, key in reversed(word)]
     return any(word[i:] + word[:i] == mirror for i in range(len(word)))

@@ -19,6 +19,7 @@ from quivercount.classify import (
     is_symmetric,
     parse_rooted_type_a,
 )
+from quivercount.counting import normalize_parameters
 from quivercount.mutation_class import enumerate_class, seed_cycle, seed_dynkin_d
 from quivercount.quiver import (
     ExchangeQuiver,
@@ -97,7 +98,7 @@ def test_bare_cycle():
     assert st.realization_1.as_tuple() == (2, 0, 2, 0)
     assert st.realization_2.as_tuple() == (2, 0, 2, 0)
     assert st.realization_1.r + st.realization_1.s == 4
-    assert all(att is None for att in st.attachments)
+    assert all(z is None for z in st.apexes)
 
 
 def test_double_arrow():
@@ -224,8 +225,32 @@ def test_pinned_attachment_words(n, arrows, word):
     """
     q = ExchangeQuiver.from_arrows(n, [(0, 1, 2), (1, 2), (2, 0)] + arrows)
     st = classify(q)
-    assert [att.key for att in st.attachments if att] == [word]
+    assert st.apexes == (2, None)
     assert st.elements == ((1, word), (0, b""))
+
+
+def test_words_carry_the_realization_parameters(cycle_class):
+    # (r1, r2, s1, s2) read from the words alone: a block with an empty
+    # word is one plain arrow, and one with word w and c bytes ``^`` brings
+    # len(w) - 1 - 2c plain arrows (its ``>`` and ``<`` bytes) and c + 1
+    # oriented 3-cycles; forward blocks count toward (r1, r2)
+    for n in range(2, 9):
+        for r in range(1, n // 2 + 1):
+            for q in cycle_class(r, n - r).representatives():
+                st = classify(q)
+                sides = [[0, 0], [0, 0]]
+                for forward, word in st.elements:
+                    side = sides[forward]
+                    if not word:
+                        side[0] += 1
+                        continue
+                    c = word.count(b"^")
+                    plain = len(word) - 1 - 2 * c
+                    assert plain == word.count(b">") + word.count(b"<"), q.b
+                    side[0] += plain
+                    side[1] += c + 1
+                read = normalize_parameters(*sides[1], *sides[0])
+                assert read == st.realization_1.as_tuple(), q.b
 
 
 def _ceiling_member():
@@ -322,14 +347,12 @@ def test_words_split_attachments_as_the_reference_keys(cycle_class):
     symmetric = Counter()
     for q in _words_sample(cycle_class):
         st = classify(q)
-        for att in st.attachments:
-            if att is None:
+        for z, (_, word) in zip(st.apexes, st.elements):
+            if z is None:
                 continue
-            key = reference_rooted_key(
-                q, attachment_vertices(q, st, att.root), att.root
-            )
-            assert word_of.setdefault(key, att.key) == att.key, q.b
-            assert key_of.setdefault(att.key, key) == key, q.b
+            key = reference_rooted_key(q, attachment_vertices(q, st, z), z)
+            assert word_of.setdefault(key, word) == word, q.b
+            assert key_of.setdefault(word, key) == key, q.b
         symmetric[is_symmetric(st)] += 1
         assert is_symmetric(st) == reference_is_symmetric(q, st), q.b
     assert len(word_of) > 100 and symmetric[True] > 40, (len(word_of), symmetric)
@@ -341,8 +364,8 @@ def test_words_and_symmetry_are_relabelling_invariant(cycle_class):
         perm = list(range(q.n))
         rng.shuffle(perm)
         st, st2 = classify(q), classify(relabel(q, perm))
-        words = Counter(att.key for att in st.attachments if att)
-        assert Counter(att.key for att in st2.attachments if att) == words
+        words = Counter(word for _, word in st.elements if word)
+        assert Counter(word for _, word in st2.elements if word) == words
         assert is_symmetric(st2) == is_symmetric(st), q.b
 
 
@@ -401,5 +424,5 @@ def test_classify_output_is_pinned(cycle_class):
         count += 1
     assert count == 17882
     assert digest.hexdigest() == (
-        "127a721920dedf2bfa3ff1b23ffa5a79435cab8584b0d373b2863c62371929c3"
+        "6281cd42e4080d3b6edf9388aed8c9212947b6c0853996f9793e6cb935abda98"
     )
