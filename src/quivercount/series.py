@@ -31,6 +31,10 @@ parts already known:
   (1/|e|) sum over k dividing e of phi(k) (theta L)_(e/k), summed in
   integers and checked to divide exactly.
 
+The same theta states the derivative check of :mod:`quivercount.verify`
+in the ring of the alphabet itself: with both 3-cycle markers set to one,
+(1 + 2 theta L)^2 (1 - 4p)(1 - 4q) = 1 at every degree.
+
 Square roots never appear: identities whose closed form involves one are
 verified in squared or functional-equation form so everything stays in
 exact polynomial arithmetic.
@@ -249,40 +253,11 @@ class TruncatedSeries:
                 out[tuple(e * k for e in exps)] = c
         return TruncatedSeries(self.variables, self.degree, out)
 
-    def derivative(self, var: str) -> "TruncatedSeries":
-        """Formal partial derivative."""
-        idx = self.variables.index(var)
-        out = {}
-        for exps, c in self.coeffs.items():
-            e = exps[idx]
-            if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                out[key] = out.get(key, 0) + e * c
-        return TruncatedSeries(self.variables, self.degree, out)
-
-    def specialize_one(self, var: str) -> "TruncatedSeries":
-        """Set ``var`` to 1 by collapsing its exponent.
-
-        Truncation caveat: the result's coefficient at a monomial of total
-        degree d is complete only if every dropped source term of higher
-        ``var`` degree would have exceeded the bound, so callers should only
-        read coefficients well inside the truncation.
-        """
-        idx = self.variables.index(var)
-        out: dict[tuple[int, ...], object] = {}
-        for exps, c in self.coeffs.items():
-            key = exps[:idx] + (0,) + exps[idx + 1 :]
-            out[key] = out.get(key, 0) + c
-        return TruncatedSeries(self.variables, self.degree, out)
-
-    def embed(self, variables, rename=None) -> "TruncatedSeries":
-        """Transfer into another ring, optionally renaming variables."""
+    def embed(self, variables, rename) -> "TruncatedSeries":
+        """Transfer into another ring, renaming the variables ``rename`` maps."""
         variables = tuple(variables)
         pos = {v: i for i, v in enumerate(variables)}
-        idxmap = []
-        for v in self.variables:
-            name = rename.get(v, v) if rename else v
-            idxmap.append(pos[name])
+        idxmap = [pos[rename.get(v, v)] for v in self.variables]
         out: dict[tuple[int, ...], object] = {}
         for exps, c in self.coeffs.items():
             tup = [0] * len(variables)
@@ -361,20 +336,21 @@ def b_series(degree: int) -> TruncatedSeries:
     return P + P2x * ap + Q + Q2y * aq
 
 
-def b_series_at_unit(degree: int, variables=("p", "q", "x", "y")) -> TruncatedSeries:
-    """The block alphabet with both 3-cycle markers set to one.
+def b_series_at_unit(degree: int) -> TruncatedSeries:
+    """The block alphabet with both 3-cycle markers set to one, in the
+    variables of :func:`b_series`.
 
     Built from the one-variable solve rather than by specializing
     :func:`b_series`, so it is exact at every stored degree.
     """
-    p, q = variables[0], variables[1]
+    variables = ("p", "q", "x", "y")
     a1 = solve_a_point(degree, ("z",))
-    ap = a1.embed(variables, {"z": p})
-    aq = a1.embed(variables, {"z": q})
-    P = TruncatedSeries.monomial(variables, degree, **{p: 1})
-    Q = TruncatedSeries.monomial(variables, degree, **{q: 1})
-    P2 = TruncatedSeries.monomial(variables, degree, **{p: 2})
-    Q2 = TruncatedSeries.monomial(variables, degree, **{q: 2})
+    ap = a1.embed(variables, {"z": "p"})
+    aq = a1.embed(variables, {"z": "q"})
+    P = TruncatedSeries.monomial(variables, degree, p=1)
+    Q = TruncatedSeries.monomial(variables, degree, q=1)
+    P2 = TruncatedSeries.monomial(variables, degree, p=2)
+    Q2 = TruncatedSeries.monomial(variables, degree, q=2)
     return P + P2 * ap + Q + Q2 * aq
 
 

@@ -15,7 +15,13 @@ range is one rule of the two scale parameters ``n_max`` and ``degree``
 - ``class-size-dynkin-d-n``: 4 <= n <= n_max, and classify rejects every member
 - ``symmetric-census-r``: r <= n_max // 2, each r2 cell and the total
 - ``marginalization-r-s``: r, s <= n_max - 2, in either order
-- ``series-*``: the six series identities at truncation degree ``degree``
+- ``series-*``: the six series identities at truncation degree ``degree``.
+  The quadratic, substitution and derivative identities compare whole
+  series, and the Catalan check reads every z^d, so all four cover every
+  degree up to ``degree``.  The coefficient grid covers the cells with
+  r + s + r2 + s2 <= degree and the list counts those with r + r2 <= degree;
+  a marker marginal (type D [q^n], list total at weight r) needs
+  n + n // 2 <= degree
 
 Each annular class is enumerated and classified once, in one pass, and
 only its summary (size and censuses) is memoised: the members are dropped
@@ -41,9 +47,9 @@ from quivercount.series import (
     solve_a_point,
 )
 
-# Below these some family checks nothing: (1, 1) is the smallest annular
-# class, and the grid's first type D coefficient [q^3] needs 3 + 3 // 2.
-MIN_N_MAX = 2
+# Below these some family checks nothing: type D starts at rank 4, and the
+# grid's first type D coefficient [q^3] needs 3 + 3 // 2.
+MIN_N_MAX = 4
 MIN_DEGREE = 4
 
 # What a failing check raises: a broken identity, or an integrality gate of
@@ -174,12 +180,9 @@ def _series_quadratic(degree):
 
 
 def _series_catalan(degree):
-    a = solve_a_point(degree, ("z", "t"))
-    a1 = a.specialize_one("t")
-    # z^d is complete only while d + d//2 fits under the truncation
+    # A(z, 1), solved in z alone, so every stored coefficient is complete
+    a1 = solve_a_point(degree, ("z",))
     for d in range(degree + 1):
-        if d + d // 2 > degree:
-            break
         expected = Fraction(comb(2 * d + 2, d + 1), d + 2)
         got = a1.coefficient(z=d)
         _require(got == expected, f"z^{d}: {got} != {expected}")
@@ -188,7 +191,7 @@ def _series_catalan(degree):
 def _series_substitution(degree):
     variables = ("p", "q", "x", "y")
     lhs = b_series(degree)
-    base = b_series_at_unit(degree, variables)
+    base = b_series_at_unit(degree)
     p = TruncatedSeries.monomial(variables, degree, p=1)
     p2 = TruncatedSeries.monomial(variables, degree, p=2)
     p2x = TruncatedSeries.monomial(variables, degree, p=2, x=1)
@@ -200,19 +203,20 @@ def _series_substitution(degree):
 
 
 def _series_derivative(degree):
-    variables = ("t", "p", "q")
-    b2 = b_series_at_unit(degree, ("p", "q"))
-    tp = TruncatedSeries.monomial(variables, degree, t=1, p=1)
-    tq = TruncatedSeries.monomial(variables, degree, t=1, q=1)
-    # t marks each term's total degree: p -> t*p, q -> t*q
-    marked = b2.embed(variables).substitute("p", tp).substitute("q", tq)
-    lhs = log_one_over_one_minus(marked)
-    t = TruncatedSeries.monomial(variables, degree, t=1)
-    left = 1 + 2 * (t * lhs.derivative("t"))
+    b1 = b_series_at_unit(degree)
+    variables = b1.variables
+    log = log_one_over_one_minus(b1)
+    # theta multiplies each coefficient by its total degree
+    theta = TruncatedSeries(
+        variables, degree, {e: c * sum(e) for e, c in log.coeffs.items()}
+    )
+    left = 1 + 2 * theta
+    p = TruncatedSeries.monomial(variables, degree, p=1)
+    q = TruncatedSeries.monomial(variables, degree, q=1)
     one = TruncatedSeries.constant(variables, degree, 1)
     # squared form keeps everything polynomial
     _require(
-        left * left * (one - 4 * tp) * (one - 4 * tq) == one,
+        left * left * (one - 4 * p) * (one - 4 * q) == one,
         "derivative identity (squared) fails",
     )
 

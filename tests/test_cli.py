@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -62,6 +64,7 @@ def test_count_json(capsys):
         ["nonsense"],
         ["verify", "--n-max", "1", "--degree", "0"],
         ["verify", "--n-max", "0", "--degree", "-3"],
+        ["verify", "--n-max", "3", "--degree", "4"],
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
@@ -219,6 +222,26 @@ def test_verify_small_run_passes(capsys):
     assert "ok class-size-atilde-2-2" in out
 
 
+def _family(name):
+    return re.sub(r"(-\d+)+$", "", name)
+
+
+def test_every_family_checks_something_at_the_floor():
+    release = {_family(name) for name, _ in verify.iter_checks(10, 12)}
+    floor = verify.iter_checks(verify.MIN_N_MAX, verify.MIN_DEGREE)
+    assert {_family(name) for name, _ in floor} == release
+
+
+def test_release_check_names_and_order_are_pinned():
+    # verify prints one line per check, named as here: scripts read them
+    names = [name for name, _ in verify.iter_checks(10, 12)]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert (len(names), digest) == (
+        157,
+        "16593b33081946037ad2826b41710f69da7b76d0754b72a6ca4abfd9a823a82e",
+    )
+
+
 def _off_by_one(count):
     return count + 1
 
@@ -240,7 +263,7 @@ def test_verify_failure_names_first_identity(capsys, monkeypatch, fault):
         return fault(count) if (r, s) == (1, 1) else count
 
     monkeypatch.setattr(counting_module, "a_tilde", faulty_a_tilde)
-    assert run(["verify", "--n-max", "2", "--degree", "4"]) == 1
+    assert run(["verify", "--n-max", "4", "--degree", "4"]) == 1
     captured = capsys.readouterr()
     assert "FAIL class-size-atilde-1-1" in captured.out
     assert "class-size-atilde-1-1" in captured.err
@@ -266,7 +289,7 @@ def test_verify_names_the_census_when_a_member_is_rejected(monkeypatch, fresh_su
 
     monkeypatch.setattr(verify, "classify", rejects_one_member)
     lines = []
-    assert verify.run_verification(3, 4, log=lines.append) == "parameter-census-1-2"
+    assert verify.run_verification(4, 4, log=lines.append) == "parameter-census-1-2"
     assert "ok class-size-atilde-1-2" in lines
     assert lines[-1].startswith("FAIL parameter-census-1-2: class member fell outside")
 
@@ -290,6 +313,27 @@ def test_runs_as_a_module_from_a_checkout():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "12")
+
+
+def test_package_imports_only_the_standard_library():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = sorted((root / "src" / "quivercount").rglob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "quivercount" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
+    assert "dependencies = []" in (root / "pyproject.toml").read_text().splitlines()
 
 
 def test_verify_checks_run_with_asserts_stripped():

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,7 @@ from oracles import (
     reference_mul,
     reference_solve_a_point,
 )
-from quivercount import counting, series
+from quivercount import counting, series, verify
 from quivercount.canonical import canonical_key
 from quivercount.classify import parse_rooted_type_a
 from quivercount.quiver import underlying_graph_connected
@@ -21,7 +20,6 @@ from quivercount.series import (
     TruncatedSeries,
     atilde_series,
     b_series,
-    b_series_at_unit,
     log_one_over_one_minus,
     solve_a_point,
 )
@@ -70,12 +68,6 @@ def test_substitute_square():
         geom.substitute("p", TruncatedSeries.constant(VARS, 8, 1))
 
 
-def test_derivative():
-    f = mono(6, p=3, q=1) * 2
-    assert f.derivative("p") == mono(6, p=2, q=1) * 6
-    assert f.derivative("q").coefficient(p=3) == 2
-
-
 # -- logarithm ------------------------------------------------------------------
 
 
@@ -85,22 +77,6 @@ def test_log_of_geometric_variable():
         assert lg.coefficient(p=m) == Fraction(1, m)
     with pytest.raises(ValueError):
         log_one_over_one_minus(TruncatedSeries.constant(VARS, 8, 1))
-
-
-def test_log_of_block_alphabet_matches_binomial_form():
-    # the unmarked coefficients are binomial products over twice the rank
-    deg = 10
-    lg = log_one_over_one_minus(b_series_at_unit(deg, VARS))
-    for r in range(0, deg + 1):
-        for s in range(0, deg + 1 - r):
-            if r + s == 0:
-                continue
-            got = lg.coefficient(p=r, q=s)
-            want = Fraction(
-                comb(2 * r, r) * comb(2 * s, s),
-                2 * (r + s),
-            )
-            assert got == want, (r, s)
 
 
 def test_log_of_marked_alphabet_matches_summation():
@@ -126,14 +102,6 @@ def test_a_point_base_coefficients():
     assert a.coefficient(z=2) == 4
     assert a.coefficient(z=3) == 8
     assert a.coefficient(z=3, t=1) == 6
-
-
-def test_a_point_catalan_specialization():
-    a1 = solve_a_point(12).specialize_one("t")
-    assert [a1.coefficient(z=d) for d in range(5)] == [1, 2, 5, 14, 42]
-    direct = solve_a_point(12, ("z",))
-    for d in range(8):
-        assert a1.coefficient(z=d) == direct.coefficient(z=d)
 
 
 def _rooted_type_a_census(nverts):
@@ -208,6 +176,32 @@ def test_cycle_sum_integrality_gate(monkeypatch):
     monkeypatch.setattr(series, "euler_phi", lambda k: 1)
     with pytest.raises(ArithmeticError):
         atilde_series(12)
+
+
+# -- the registry's series identities reach the truncation degree -----------------
+
+
+@pytest.mark.parametrize("degree", [verify.MIN_DEGREE, 12])
+@pytest.mark.parametrize(
+    "check, built_by, variable",
+    [
+        ("series-derivative-identity", "b_series_at_unit", "p"),
+        ("series-catalan-specialization", "solve_a_point", "z"),
+    ],
+)
+def test_series_check_reaches_the_truncation_degree(
+    monkeypatch, check, built_by, variable, degree
+):
+    real = getattr(verify, built_by)
+
+    def plus_top_term(degree, *args):
+        s = real(degree, *args)
+        return s + TruncatedSeries.monomial(s.variables, degree, **{variable: degree})
+
+    monkeypatch.setattr(verify, built_by, plus_top_term)
+    (thunk,) = [t for n, t in verify.iter_checks(verify.MIN_N_MAX, degree) if n == check]
+    with pytest.raises(AssertionError):
+        thunk()
 
 
 # -- against the reference routes -------------------------------------------------
