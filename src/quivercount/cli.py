@@ -127,31 +127,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    q = read_quiver(args.file)
-    st = classify(q)
-    if st is None:
-        payload = {
-            "atilde": False,
-            "r1": None,
-            "r2": None,
-            "s1": None,
-            "s2": None,
-            "r": None,
-            "s": None,
-            "symmetric": None,
-        }
-    else:
-        p = st.realization_1
-        payload = {
-            "atilde": True,
-            "r1": p.r1,
-            "r2": p.r2,
-            "s1": p.s1,
-            "s2": p.s2,
-            "r": p.r,
-            "s": p.s,
-            "symmetric": is_symmetric(st),
-        }
+    st = classify(read_quiver(args.file))
+    params = ("r1", "r2", "s1", "s2", "r", "s")
+    payload = {"atilde": st is not None, **dict.fromkeys(params), "symmetric": None}
+    if st is not None:
+        for name in params:
+            payload[name] = getattr(st.realization_1, name)
+        payload["symmetric"] = is_symmetric(st)
     print(json.dumps(payload))
     return 0
 

@@ -14,9 +14,9 @@ result is a known member, which is within the cap.
 
 - Mutation is an involution, so a member is never mutated back along the
   vertex that discovered it: that gives its parent.
-- A mutated matrix equal to a stored member's matrix (as around commuting
-  squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is skipped before
-  its key is computed.
+- A mutated matrix equal to the matrix of a member that still waits (as
+  around commuting squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is
+  skipped before its key is computed.
 - Every other edge of the exchange graph that leads back to a known member
   is skipped too.  Say X = mu_k(q) has the key of a member N that still
   waits in the queue, or of q itself.  The two canonical orders give an
@@ -35,13 +35,21 @@ result is a known member, which is within the cap.
   between k and u, mu_k mu_u mu_k mu_u mu_k(Q) is Q with k and u swapped
   (Fomin & Zelevinsky, "Cluster algebras I", arXiv:math/0104151).  So
   before labeling X = mu_k(q), the walk looks up X with k and a neighbour
-  u swapped among the stored matrices.  A hit is a member N whose matrix
-  equals the swapped one, so the swap is an isomorphism X -> N,
-  mu_u(N) ~ mu_k(X) = q, and N is not mutated at u.  A miss is cheap:
-  the whole swapped matrix is built only when its row k is some stored
-  member's row at k, and the walk collects those rows as members are
-  stored.  A hit on a member already expanded skips only a labeling that
-  would find that member and change nothing.
+  u swapped among the matrices of the members that still wait.  A hit is
+  a member N whose matrix equals the swapped one, so the swap is an
+  isomorphism X -> N, mu_u(N) ~ mu_k(X) = q, and N is not mutated at u.
+  A miss is cheap: the whole swapped matrix is built only when its row k
+  is some stored member's row at k, and the walk collects those rows as
+  members are stored.
+
+The walk keeps one table for the second, third and fifth shortcuts:
+``waiting`` maps the matrix of each member that is queued or being
+expanded to its canonical order and the vertices it is not to be mutated
+at, and a member leaves it when its expansion ends.  Each lookup in it
+only skips a labeling.  A mutation that leads back to a member already
+expanded misses the table and is labeled; the labeling finds that member,
+whose expansion is over, and changes nothing.  So forgetting expanded
+members moves no member, order, depth or representative.
 
 The canonical labelings of one walk share a memo of row invariants, since
 mutation shares every row away from the mutated vertex; the memo goes with
@@ -130,37 +138,32 @@ def enumerate_class(
     key0, order0 = canonical_labeling(seed, memo=memo)
     members = {key0: seed}
     depths = {key0: 0}
-    known = {seed.b: key0}  # stored members' matrices, shared, not copied
-    # members queued or being expanded: key -> (canonical order, vertices
-    # not to mutate)
-    pending = {key0: (order0, set())}
+    # members queued or being expanded, by matrix (shared, not copied):
+    # matrix -> (canonical order, vertices not to mutate)
+    waiting = {seed.b: (order0, set())}
     rows_at = [{row} for row in seed.b]  # rows_at[v]: stored members' rows at v
     queue = deque([key0])
     while queue:
         key = queue.popleft()
         q, d = members[key], depths[key]
         b = q.b
-        # kept pending while q is expanded: mu_k(q) ~ q may add a later vertex
-        skip = pending[key][1]
+        # kept waiting while q is expanded: mu_k(q) ~ q may add a later vertex
+        skip = waiting[b][1]
         for k in range(q.n):
             if k in skip:
                 continue  # this mutation gives back a known member
             q2 = mutate(q, k)
-            key2 = known.get(q2.b)
-            if key2 is not None:
-                entry = pending.get(key2)
-                if entry is not None:
-                    entry[1].add(k)  # sigma is the identity
+            entry = waiting.get(q2.b)
+            if entry is not None:
+                entry[1].add(k)  # sigma is the identity
                 continue
             # k has the same neighbours before and after the mutation; q was
             # labeled through the memo, so its rows' nonzero pairs are there
             nbrs = memo[b[k]][0]
-            hit = _swapped_member(q2.b, k, nbrs, rows_at[k], known)
+            hit = _swapped_member(q2.b, k, nbrs, rows_at[k], waiting)
             if hit is not None:
-                key2, u = hit
-                entry = pending.get(key2)
-                if entry is not None:
-                    entry[1].add(u)  # sigma swaps k and u
+                entry, u = hit
+                entry[1].add(u)  # sigma swaps k and u
                 continue
             key2, order2 = canonical_labeling(q2, memo=memo)
             # the labeling put q2's rows in the memo; only the rows at k's
@@ -168,19 +171,18 @@ def enumerate_class(
             m = max(memo[q2.b[u]][2] for u, _ in nbrs)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)
-            entry = pending.get(key2)
-            if entry is not None:
-                order_n, skip_n = entry
-                skip_n.add(order_n[order2.index(k)])  # sigma(k)
-            elif key2 not in members:
+            if key2 not in members:
                 members[key2] = q2
                 depths[key2] = d + 1
-                known[q2.b] = key2
-                pending[key2] = (order2, {k})
+                waiting[q2.b] = (order2, {k})
                 for rows, row in zip(rows_at, q2.b):
                     rows.add(row)
                 queue.append(key2)
-        del pending[key]
+                continue
+            entry = waiting.get(members[key2].b)
+            if entry is not None:
+                entry[1].add(entry[0][order2.index(k)])  # sigma(k)
+        del waiting[b]
     return MutationClass(seed, members, depths)
 
 
@@ -191,14 +193,15 @@ def _swapped(row, k: int, u: int):
     return tuple(row)
 
 
-def _swapped_member(b, k: int, nbrs, rows_at_k: set, known: dict):
-    """``(key, u)`` for a stored member equal to ``b`` with k and u swapped.
+def _swapped_member(b, k: int, nbrs, rows_at_k: set, waiting: dict):
+    """``(entry, u)`` for a waiting member equal to ``b`` with k and u swapped.
 
-    ``u`` runs over the neighbours of k, given as ``nbrs``, the memo's
-    nonzero ``(u, e)`` pairs of row k.  Row k of the swapped matrix is row
-    u of ``b`` with entries k and u exchanged, so the whole matrix is built
-    only when that row is some stored member's row at k, per
-    ``rows_at_k``.  Returns None when no swap gives a stored member.
+    ``entry`` is that member's value in ``waiting``.  ``u`` runs over the
+    neighbours of k, given as ``nbrs``, the memo's nonzero ``(u, e)`` pairs
+    of row k.  Row k of the swapped matrix is row u of ``b`` with entries k
+    and u exchanged, so the whole matrix is built only when that row is
+    some stored member's row at k, per ``rows_at_k``.  Returns None when no
+    swap gives a waiting member.
     """
     for u, _ in nbrs:
         if _swapped(b[u], k, u) not in rows_at_k:
@@ -207,9 +210,9 @@ def _swapped_member(b, k: int, nbrs, rows_at_k: set, known: dict):
         # then rows k and u
         rows = [row if row[k] == row[u] else _swapped(row, k, u) for row in b]
         rows[k], rows[u] = rows[u], rows[k]
-        key = known.get(tuple(rows))
-        if key is not None:
-            return key, u
+        entry = waiting.get(tuple(rows))
+        if entry is not None:
+            return entry, u
     return None
 
 

@@ -18,7 +18,10 @@ class ExchangeQuiver:
     arrows ``j -> i``.  Because oriented 2-cycles are excluded, at most one
     of the two counts is nonzero, so the signed matrix encodes the quiver
     losslessly.  Instances are immutable and hashable; connectivity is not
-    enforced here and is checked by callers that need it.
+    enforced here and is checked by callers that need it.  The constructor
+    expects ``int`` entries and does not check their type;
+    :meth:`from_matrix` converts entries and refuses any that are not
+    integers.
     """
 
     b: tuple[tuple[int, ...], ...]
@@ -53,7 +56,20 @@ class ExchangeQuiver:
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]]) -> "ExchangeQuiver":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """Build a quiver from integer-valued entries, stored as ``int``.
+
+        Raises ValueError for an entry whose integer value differs from it,
+        as 1.5 or "2", instead of truncating or parsing it into another
+        quiver.
+        """
+        b = []
+        for row in map(tuple, rows):
+            ints = tuple(map(int, row))
+            if ints != row:
+                x = next(x for x, i in zip(row, ints) if x != i)
+                raise ValueError(f"exchange matrix entry {x!r} is not an integer")
+            b.append(ints)
+        return cls(tuple(b))
 
     @classmethod
     def from_arrows(

@@ -243,16 +243,6 @@ class TruncatedSeries:
                 result = result + part * gk
         return result
 
-    def raise_exponents(self, k: int) -> "TruncatedSeries":
-        """Replace every variable v by v**k simultaneously."""
-        if k < 1:
-            raise ValueError("need k >= 1")
-        out = {}
-        for exps, c in self.coeffs.items():
-            if sum(exps) * k <= self.degree:
-                out[tuple(e * k for e in exps)] = c
-        return TruncatedSeries(self.variables, self.degree, out)
-
     def embed(self, variables, rename) -> "TruncatedSeries":
         """Transfer into another ring, renaming the variables ``rename`` maps."""
         variables = tuple(variables)

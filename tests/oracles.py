@@ -268,6 +268,15 @@ def reference_log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
     return acc
 
 
+def raise_exponents(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """``s`` with every variable v replaced by v**k, for k >= 1."""
+    out = {}
+    for exps, c in s.coeffs.items():
+        if sum(exps) * k <= s.degree:
+            out[tuple(e * k for e in exps)] = c
+    return TruncatedSeries(s.variables, s.degree, out)
+
+
 def reference_solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     """A = 1 + 2 z A + z^2 t A^2 (t omitted with one variable), iterated
     from A = 1 until the truncation stops changing."""
@@ -297,6 +306,6 @@ def reference_atilde_series(degree: int) -> TruncatedSeries:
         b = b + arrow + reference_mul(block, a.embed(variables, {"z": v, "t": marker}))
     total = TruncatedSeries.zero(variables, degree)
     for k in range(1, degree + 1):
-        log = reference_log_one_over_one_minus(b.raise_exponents(k))
+        log = reference_log_one_over_one_minus(raise_exponents(b, k))
         total = total + log * Fraction(euler_phi(k), k)
     return total

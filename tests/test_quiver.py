@@ -57,6 +57,18 @@ def test_rejects_non_skew_matrix():
         ExchangeQuiver.from_matrix([[0, 1], [-1, 0], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1.5, 0], [-1.5, 0, 1], [0, -1, 0]],  # truncated to the path
+        [[0, "2"], ["-2", 0]],  # parsed into the Kronecker quiver
+    ],
+)
+def test_from_matrix_rejects_entries_that_are_not_integers(rows):
+    with pytest.raises(ValueError, match="is not an integer"):
+        ExchangeQuiver.from_matrix(rows)
+
+
 def test_from_arrows_and_arrows_roundtrip():
     q = ExchangeQuiver.from_arrows(4, [(0, 1), (1, 2, 2), (3, 2)])
     assert q.b[0][1] == 1 and q.b[1][2] == 2 and q.b[2][3] == -1
