@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from quivercount import counting
@@ -112,8 +113,11 @@ def _cmd_enumerate(args) -> int:
         seed = seed_dynkin_d(args.dynkin_d)
     else:
         seed = read_quiver(args.seed)
+    # the walk can take minutes, so a dump that cannot be written is refused first
     if args.out:
         _refuse_member_files(args.out)
+    if args.json:
+        _refuse_unwritable(args.json)
     mc = enumerate_class(seed, multiplicity_cap=args.cap)
     if args.out:
         write_class_dir(mc, args.out)
@@ -124,6 +128,13 @@ def _cmd_enumerate(args) -> int:
     else:
         print(mc.size)
     return 0
+
+
+def _refuse_unwritable(path) -> None:
+    """Raise OSError, creating nothing, when no file can be written at ``path``."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write a file at {path}")
 
 
 def _cmd_classify(args) -> int:

@@ -128,9 +128,13 @@ def realization_count(r: int, s: int) -> int:
 
     A zero weight is allowed: with every arrow one way the sum runs over the
     divisors of ``gcd(0, s) = s``, the oriented-cycle count of :func:`a_tilde`.
+    The oriented 2-cycle, weights (0, 2), is refused as it is by
+    :func:`~quivercount.mutation_class.seed_cycle`.
     """
     if min(r, s) < 0 or r + s < 2:
         raise ValueError("need r, s >= 0 with r + s >= 2 and max(r, s) >= 1")
+    if (r, s) in ((0, 2), (2, 0)):
+        raise ValueError("an oriented 2-cycle cannot be encoded")
     total = Fraction(0)
     for k in _divisors(gcd(r, s)):
         total += (

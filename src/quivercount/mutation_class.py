@@ -44,12 +44,19 @@ result is a known member, which is within the cap.
 
 The walk keeps one table for the second, third and fifth shortcuts:
 ``waiting`` maps the matrix of each member that is queued or being
-expanded to its canonical order and the vertices it is not to be mutated
-at, and a member leaves it when its expansion ends.  Each lookup in it
-only skips a labeling.  A mutation that leads back to a member already
-expanded misses the table and is labeled; the labeling finds that member,
-whose expansion is over, and changes nothing.  So forgetting expanded
-members moves no member, order, depth or representative.
+expanded to its record (quiver, depth, canonical order, vertices it is not
+to be mutated at), and a member leaves it when its expansion ends.  The
+queue holds those same records, so a member is dequeued without a lookup.
+Each lookup in the table only skips a labeling.  A mutation that leads
+back to a member already expanded misses the table and is labeled; the
+labeling finds that member, whose expansion is over, and changes nothing.
+So forgetting expanded members moves no member, order, depth or
+representative.
+
+Members share their rows: ``rows_at[v]`` maps each row that a stored
+member has at v to the one tuple that holds it, and a new member is stored
+with those tuples in place of its own.  The pentagon lookup's row filter
+reads the same table.
 
 The canonical labelings of one walk share a memo of row invariants, since
 mutation shares every row away from the mutated vertex; the memo goes with
@@ -138,24 +145,23 @@ def enumerate_class(
     key0, order0 = canonical_labeling(seed, memo=memo)
     members = {key0: seed}
     depths = {key0: 0}
-    # members queued or being expanded, by matrix (shared, not copied):
-    # matrix -> (canonical order, vertices not to mutate)
-    waiting = {seed.b: (order0, set())}
-    rows_at = [{row} for row in seed.b]  # rows_at[v]: stored members' rows at v
-    queue = deque([key0])
+    # members queued or being expanded, by matrix; the queue holds the same
+    # records: matrix -> (quiver, depth, canonical order, vertices not to mutate)
+    waiting = {seed.b: (seed, 0, order0, set())}
+    # rows_at[v]: stored members' rows at v, each the one copy they share
+    rows_at = [{row: row} for row in seed.b]
+    queue = deque(waiting.values())
     while queue:
-        key = queue.popleft()
-        q, d = members[key], depths[key]
-        b = q.b
         # kept waiting while q is expanded: mu_k(q) ~ q may add a later vertex
-        skip = waiting[b][1]
+        q, d, _, skip = queue.popleft()
+        b = q.b
         for k in range(q.n):
             if k in skip:
                 continue  # this mutation gives back a known member
             q2 = mutate(q, k)
             entry = waiting.get(q2.b)
             if entry is not None:
-                entry[1].add(k)  # sigma is the identity
+                entry[3].add(k)  # sigma is the identity
                 continue
             # k has the same neighbours before and after the mutation; q was
             # labeled through the memo, so its rows' nonzero pairs are there
@@ -163,7 +169,7 @@ def enumerate_class(
             hit = _swapped_member(q2.b, k, nbrs, rows_at[k], waiting)
             if hit is not None:
                 entry, u = hit
-                entry[1].add(u)  # sigma swaps k and u
+                entry[3].add(u)  # sigma swaps k and u
                 continue
             key2, order2 = canonical_labeling(q2, memo=memo)
             # the labeling put q2's rows in the memo; only the rows at k's
@@ -172,16 +178,17 @@ def enumerate_class(
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             if key2 not in members:
+                # store q2 with the rows that stored members already hold
+                b2 = tuple(at.setdefault(r, r) for at, r in zip(rows_at, q2.b))
+                q2 = ExchangeQuiver._trusted(b2)
                 members[key2] = q2
                 depths[key2] = d + 1
-                waiting[q2.b] = (order2, {k})
-                for rows, row in zip(rows_at, q2.b):
-                    rows.add(row)
-                queue.append(key2)
+                waiting[q2.b] = record = (q2, d + 1, order2, {k})
+                queue.append(record)
                 continue
             entry = waiting.get(members[key2].b)
             if entry is not None:
-                entry[1].add(entry[0][order2.index(k)])  # sigma(k)
+                entry[3].add(entry[2][order2.index(k)])  # sigma(k)
         del waiting[b]
     return MutationClass(seed, members, depths)
 
@@ -193,7 +200,7 @@ def _swapped(row, k: int, u: int):
     return tuple(row)
 
 
-def _swapped_member(b, k: int, nbrs, rows_at_k: set, waiting: dict):
+def _swapped_member(b, k: int, nbrs, rows_at_k: dict, waiting: dict):
     """``(entry, u)`` for a waiting member equal to ``b`` with k and u swapped.
 
     ``entry`` is that member's value in ``waiting``.  ``u`` runs over the

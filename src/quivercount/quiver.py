@@ -10,7 +10,7 @@ class QuiverFormatError(ValueError):
     """Raised when a quiver text file cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeQuiver:
     """A finite quiver without loops or oriented 2-cycles.
 
@@ -177,14 +177,7 @@ def underlying_graph_connected(q: ExchangeQuiver) -> bool:
 
 def max_multiplicity(q: ExchangeQuiver) -> int:
     """Largest arrow multiplicity, 0 for an arrowless quiver."""
-    m = 0
-    for i in range(q.n):
-        row = q.b[i]
-        for j in range(i + 1, q.n):
-            a = abs(row[j])
-            if a > m:
-                m = a
-    return m
+    return max((abs(x) for row in q.b for x in row), default=0)
 
 
 # --- text format -----------------------------------------------------------
@@ -202,9 +195,7 @@ MAX_VERTICES = 1000
 
 
 def dumps(q: ExchangeQuiver) -> str:
-    lines = [str(q.n)]
-    for i, j, m in sorted(q.arrows()):
-        lines.append(f"{i} {j} {m}")
+    lines = [str(q.n)] + [f"{i} {j} {m}" for i, j, m in sorted(q.arrows())]
     return "\n".join(lines) + "\n"
 
 

@@ -126,6 +126,13 @@ def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_pat
     member = out_dir / sorted(before)[0]
     assert run(["enumerate", "--dynkin-d", "10", "--out", str(member)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # so is a JSON dump that cannot be written, and it creates no file
+    missing = tmp_path / "absent" / "members.json"
+    for path in (missing, out_dir):
+        assert run(["enumerate", "--dynkin-d", "10", "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.parent.exists()
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
 def test_enumerate_cap_exceeded_exits_three(capsys, tmp_path):

@@ -90,6 +90,8 @@ def test_a_tilde_rejects_bad_arguments():
         a_tilde(0, 1)
     with pytest.raises(ValueError):
         a_tilde(-1, 3)
+    with pytest.raises(ValueError, match="oriented 2-cycle"):
+        a_tilde(0, 2)
 
 
 def test_realization_count_rejects_bad_arguments():
@@ -97,6 +99,9 @@ def test_realization_count_rejects_bad_arguments():
         realization_count(0, 0)
     with pytest.raises(ValueError):
         realization_count(0, 1)
+    for r, s in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="oriented 2-cycle"):
+            realization_count(r, s)
 
 
 def test_rank_four_oriented_cycle_formula_is_off():

@@ -308,6 +308,15 @@ def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
     assert with_lookup <= 0.7 * calls
 
 
+@pytest.mark.parametrize("seed", [seed_dynkin_d(8), seed_cycle(3, 5)])
+def test_members_share_each_row_value(seed):
+    # members that agree on a row at a vertex hold one tuple for it, so the
+    # class keeps one copy of each row value at each vertex
+    mc = enumerate_class(seed)
+    rows = [(v, row) for q in mc.members.values() for v, row in enumerate(q.b)]
+    assert len({id(row) for _, row in rows}) == len(set(rows))
+
+
 @pytest.mark.parametrize("seed", list(_reference_seeds()))
 def test_every_skipped_mutation_gives_an_expanded_member(monkeypatch, seed):
     # members are expanded in insertion order, and a vertex joins a member's
