@@ -32,6 +32,7 @@ canonical labeling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
@@ -181,10 +182,14 @@ def parse_rooted_type_a(q: ExchangeQuiver, root: int):
     cycle, double arrows, vertices the walk from ``root`` does not reach).
     Raises ValueError when ``root`` is not a vertex of ``q``.
     """
-    if root not in range(q.n):
-        raise ValueError(f"root must lie in range({q.n})")
+    vertices = range(q.n)
+    try:
+        if operator.index(root) not in vertices:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"root must lie in range({q.n})") from None
     b = q.b
-    rest = [set(compress(range(q.n), row)) for row in b]
+    rest = [set(compress(vertices, row)) for row in b]
     visited = {root}
     word = _walk_rooted(b, rest, root, visited)
     # a walk that reaches every vertex has taken every arrow
@@ -282,15 +287,17 @@ def classify(q: ExchangeQuiver):
     arbitrary quivers outside the family.
 
     Cost on n vertices: one O(n^2) pass over the matrix for the neighbour
-    sets and multiplicities, then a peel linear in n, and apex picks and
-    walks that take each arrow once, by deleting it from both ends of the
+    sets and multiplicities, then a peel linear in n.  Each base arrow
+    picks its apex from one intersection of its ends' neighbour sets, and
+    the walks take each arrow once, by deleting it from both ends of the
     neighbour sets; the walks write the attachment words, so no canonical
     key is computed.  Nothing recurses, so the cost holds up to the vertex
     ceiling of ``loads``.
     """
     b = q.b
     n = q.n
-    rest = [set(compress(range(n), row)) for row in b]
+    vertices = range(n)
+    rest = [set(compress(vertices, row)) for row in b]
     cyc = _base_cycle(b, rest)
     if cyc is None:
         return None
@@ -312,14 +319,17 @@ def classify(q: ExchangeQuiver):
 
     # each strand takes the least untaken apex z off the cycle with
     # head -> z -> tail, and with it the arrows y -> z -> x; a surplus apex
-    # is left for the account to reject
+    # is left for the account to reject.  rest lacks only the arrows to
+    # taken apexes, which are visited, so rest[x] & rest[y] holds every
+    # candidate
     visited = set(cyc)
     apexes: list[Optional[int]] = []
     for x, y, _ in strands:
-        z = min(
-            (z for z in rest[y] if z not in visited and b[y][z] > 0 and b[z][x] > 0),
-            default=None,
-        )
+        z = None
+        for c in rest[x] & rest[y]:
+            if c not in visited and b[y][c] > 0 and b[c][x] > 0:
+                if z is None or c < z:
+                    z = c
         apexes.append(z)
         if z is not None:
             visited.add(z)

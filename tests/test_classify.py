@@ -82,9 +82,10 @@ def test_parse_rejects_unreachable_leftovers():
     assert parse_rooted_type_a(q, 0) is None
 
 
-@pytest.mark.parametrize("root", [-1, 3, 7])
+@pytest.mark.parametrize("root", [-1, 3, 7, 1.0])
 def test_parse_rejects_a_root_the_quiver_lacks(root):
-    # -1 would alias vertex 2, and 3 and 7 would index past the matrix
+    # -1 would alias vertex 2, 3 and 7 would index past the matrix, and
+    # 1.0 is in range(3) but cannot index a row
     path = ExchangeQuiver.from_arrows(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         parse_rooted_type_a(path, root)
@@ -141,6 +142,29 @@ def test_double_arrow_with_two_triangles():
     st = classify(q)
     assert st.realization_1.as_tuple() == (0, 1, 0, 1)
     assert is_symmetric(st)
+    assert st.apexes == (2, 3)
+
+
+def test_least_apex_goes_to_the_strand_that_follows_the_traversal():
+    # the two triangles on the double arrow with labels reversed: 3 => 2,
+    # 2 -> 1 -> 3 and 2 -> 0 -> 3; the apexes' order flips with them
+    q = ExchangeQuiver.from_arrows(
+        4, [(0, 1, 2), (1, 2), (2, 0), (1, 3), (3, 0)]
+    )
+    st = classify(relabel(q, [3, 2, 1, 0]))
+    assert st.base_cycle == ((3, 2), (3, 2))
+    assert st.apexes == (0, 1)
+    assert [forward for forward, _ in st.elements] == [1, 0]
+
+
+def test_surplus_apex_on_one_base_arrow_is_rejected():
+    # the base arrow 0 -> 1 of a 4-cycle carries two oriented 3-cycles,
+    # 1 -> 4 -> 0 and 1 -> 5 -> 0: the base arrow takes apex 4 and leaves
+    # 5 unvisited, so the account rejects
+    q = ExchangeQuiver.from_arrows(
+        6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 0), (1, 5), (5, 0)]
+    )
+    assert classify(q) is None
 
 
 def test_triangle_attachment_orientation_must_close():
@@ -191,6 +215,28 @@ def test_cost_does_not_follow_the_number_of_chordless_cycles():
     start = time.perf_counter()
     assert classify(q) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_classify_at_the_benchmark_ranks():
+    # the sweeps below stop at 8 vertices; the benchmark classifies walks
+    # on 8 to 20.  Relabelled walks off every cycle seed keep its {r, s},
+    # and walks off the type D seed stay outside the family
+    rng = random.Random(2022)
+    for n in range(12, 21):
+        seeds = [((r, n - r), seed_cycle(r, n - r)) for r in range(1, n)]
+        for expected, q in seeds + [(None, seed_dynkin_d(n))]:
+            for _ in range(2):
+                for _ in range(2 * n):
+                    q = mutate(q, rng.randrange(n))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                st = classify(relabel(q, perm))
+                if expected is None:
+                    assert st is None, q.b
+                    continue
+                assert st is not None, q.b
+                assert {st.realization_1.r, st.realization_1.s} == set(expected)
+                assert st.realization_2 == st.realization_1.swapped()
 
 
 def test_classify_rejects_every_type_d_member():

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from quivercount import cli, verify
-from quivercount.cli import run
+from quivercount.cli import TABLE_N_MAX, run
 from quivercount.mutation_class import seed_cycle
 from quivercount.quiver import ExchangeQuiver, read_quiver, write_quiver
 
@@ -65,10 +65,16 @@ def test_count_json(capsys):
         ["verify", "--n-max", "1", "--degree", "0"],
         ["verify", "--n-max", "0", "--degree", "-3"],
         ["verify", "--n-max", "3", "--degree", "4"],
+        ["table", "--n-max", str(TABLE_N_MAX + 1)],
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
     assert run(args) == 2
+
+
+def test_table_names_its_ceiling(capsys):
+    assert run(["table", "--n-max", str(TABLE_N_MAX + 1)]) == 2
+    assert f"at most {TABLE_N_MAX}" in capsys.readouterr().err
 
 
 def test_enumerate_cycle(capsys):
