@@ -7,7 +7,7 @@ with a truncated power-series oracle as a third independent route.
 """
 
 from quivercount import counting, series
-from quivercount.canonical import are_isomorphic, canonical_key
+from quivercount.canonical import canonical_key
 from quivercount.classify import (
     AtildeStructure,
     RealizationParams,
@@ -30,7 +30,6 @@ from quivercount.quiver import (
     max_multiplicity,
     mutate,
     read_quiver,
-    relabel,
     underlying_graph_connected,
     write_quiver,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "MutationClass",
     "QuiverFormatError",
     "RealizationParams",
-    "are_isomorphic",
     "canonical_key",
     "classify",
     "counting",
@@ -56,7 +54,6 @@ __all__ = [
     "mutate",
     "parse_rooted_type_a",
     "read_quiver",
-    "relabel",
     "seed_cycle",
     "seed_dynkin_d",
     "series",

@@ -254,10 +254,3 @@ def canonical_labeling(
         [text[b[v][u]] for p, v in enumerate(order) for u in order[:p]]
     )
     return key.encode("ascii"), order
-
-
-def are_isomorphic(q1: ExchangeQuiver, q2: ExchangeQuiver) -> bool:
-    """True iff the two quivers are isomorphic as directed multigraphs."""
-    if q1.n != q2.n:
-        return False
-    return canonical_key(q1) == canonical_key(q2)

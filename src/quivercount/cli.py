@@ -30,6 +30,14 @@ CAP_ERROR = 3
 # table's time and output grow about as n_max^3: 500 writes 12 MB in
 # about 2.5 s, 700 writes 34 MB in about 7 s
 TABLE_N_MAX = 500
+# every side weight of count: at 1000 the slowest form, --r2 0 --s2 0,
+# takes about 1.5 s for a 598-digit answer
+COUNT_WEIGHT_MAX = 1000
+# the rank of verify --n-max, enumerate --dynkin-d and --cycle R + S:
+# D_13 takes about 110 s and 300 MB, and D_n grows about 3.5x per rank
+RANK_MAX = 13
+# verify --n-max 4 --degree 40 takes 7 to 9 s, about 1.9x per 4 degrees
+DEGREE_MAX = 40
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +88,12 @@ def _usage(message: str) -> int:
     return USAGE_ERROR
 
 
+def _at_most(what: str, value: int, ceiling: int) -> None:
+    """Refuse ``value`` above ``ceiling``: ``run`` reports a usage error."""
+    if value > ceiling:
+        raise ValueError(f"{what} is at most {ceiling}, got {value}")
+
+
 def _cmd_count(args) -> int:
     full = (args.r1, args.s1)
     refined = (args.r2, args.s2)
@@ -90,14 +104,20 @@ def _cmd_count(args) -> int:
             return _usage("--r contradicts --r1 + 2*--r2")
         if args.s is not None and args.s != args.s1 + 2 * args.s2:
             return _usage("--s contradicts --s1 + 2*--s2")
+        _at_most("count --r1 + 2*--r2", args.r1 + 2 * args.r2, COUNT_WEIGHT_MAX)
+        _at_most("count --s1 + 2*--s2", args.s1 + 2 * args.s2, COUNT_WEIGHT_MAX)
         value = counting.derived_class_count(args.r1, args.r2, args.s1, args.s2)
     elif any(v is not None for v in refined):
         if None in (args.r, args.s, args.r2, args.s2):
             return _usage("refined counts need --r --s --r2 --s2")
+        _at_most("count --r", args.r, COUNT_WEIGHT_MAX)
+        _at_most("count --s", args.s, COUNT_WEIGHT_MAX)
         value = counting.refined_realization_count(args.r, args.r2, args.s, args.s2)
     else:
         if args.r is None or args.s is None:
             return _usage("need at least --r and --s")
+        _at_most("count --r", args.r, COUNT_WEIGHT_MAX)
+        _at_most("count --s", args.s, COUNT_WEIGHT_MAX)
         if args.r == 0 or args.s == 0:
             value = counting.d_n_count(max(args.r, args.s))
         else:
@@ -111,8 +131,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.cycle is not None:
+        _at_most("enumerate --cycle R + S", sum(args.cycle), RANK_MAX)
         seed = seed_cycle(args.cycle[0], args.cycle[1])
     elif args.dynkin_d is not None:
+        _at_most("enumerate --dynkin-d", args.dynkin_d, RANK_MAX)
         seed = seed_dynkin_d(args.dynkin_d)
     else:
         seed = read_quiver(args.seed)
@@ -153,8 +175,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.n_max > TABLE_N_MAX:
-        return _usage(f"table --n-max is at most {TABLE_N_MAX}, got {args.n_max}")
+    _at_most("table --n-max", args.n_max, TABLE_N_MAX)
     rows = counting.table_rows(args.n_max)
     if args.format == "json":
         print(json.dumps({"rows": [{"n": n, "counts": c} for n, c in rows]}))
@@ -165,6 +186,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_most("verify --n-max", args.n_max, RANK_MAX)
+    _at_most("verify --degree", args.degree, DEGREE_MAX)
     failed = run_verification(args.n_max, args.degree)
     if failed is not None:
         print(f"verification failed at: {failed}", file=sys.stderr)

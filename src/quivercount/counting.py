@@ -151,15 +151,12 @@ def a_tilde(r: int, s: int) -> int:
 
     Each quiver is an orbit of realizations under the flip of the annulus,
     so by Burnside this is the average over the two realizations; only a
-    symmetric quiver, with r == s, is fixed.  Arguments are normalized to
-    r <= s.  For r = 0 this is the oriented-cycle count; note the rank 4
-    case is the one place that value differs from the true type D count,
-    which :func:`d_n_count` handles.
+    symmetric quiver, with r == s, is fixed.  The count is symmetric in
+    its arguments, and :func:`realization_count` or :func:`symmetric_count`
+    refuses the weights that name no class.  For r = 0 this is the
+    oriented-cycle count; note the rank 4 case is the one place that value
+    differs from the true type D count, which :func:`d_n_count` handles.
     """
-    if r > s:
-        r, s = s, r
-    if r < 0 or s < 1 or r + s < 2:
-        raise ValueError("need r, s >= 0 with r + s >= 2 and max(r, s) >= 1")
     if r == s:
         return _as_int(Fraction(symmetric_count(r) + realization_count(r, r), 2))
     return realization_count(r, s)

@@ -105,7 +105,6 @@ class CapExceeded(RuntimeError):
 class MutationClass:
     """A mutation class: canonical keys with first-discovered representatives."""
 
-    seed: ExchangeQuiver
     members: dict[bytes, ExchangeQuiver]
     depths: dict[bytes, int]
 
@@ -190,7 +189,7 @@ def enumerate_class(
             if entry is not None:
                 entry[3].add(entry[2][order2.index(k)])  # sigma(k)
         del waiting[b]
-    return MutationClass(seed, members, depths)
+    return MutationClass(members, depths)
 
 
 def _swapped(row, k: int, u: int):

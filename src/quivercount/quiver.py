@@ -144,20 +144,6 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     return ExchangeQuiver._trusted(tuple(rows))
 
 
-def relabel(q: ExchangeQuiver, perm: Sequence[int]) -> ExchangeQuiver:
-    """Rename vertices: old vertex ``i`` becomes ``perm[i]``."""
-    n = q.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = q.b[i]
-        pi = perm[i]
-        for j in range(n):
-            b[pi][perm[j]] = row[j]
-    return ExchangeQuiver.from_matrix(b)
-
-
 def underlying_graph_connected(q: ExchangeQuiver) -> bool:
     """True iff the underlying undirected graph is connected."""
     n = q.n

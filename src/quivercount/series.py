@@ -21,6 +21,9 @@ parts already known:
 
 - the rooted type A series solves A = 1 + 2zA + z^2 t A^2 degree by
   degree, since the part of A^2 it needs has lower degree;
+- the block alphabet B = S(p, x) + S(q, y) needs one product: the side
+  S(z, t) = z + z^2 t A(z, t) is formed in the ring of A and embedded
+  twice, once per orientation of the base arrow;
 - with theta the total-degree Euler operator (it multiplies the degree-n
   part by n), L = log(1/(1 - B)) satisfies theta L = theta B + B theta L,
   so (theta L)_n = n B_n + sum over 0 < j < n of B_(n-j) (theta L)_j, and
@@ -127,10 +130,6 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, degree):
-        return cls(variables, degree)
-
-    @classmethod
     def constant(cls, variables, degree, value):
         return cls(variables, degree, {(0,) * len(tuple(variables)): value})
 
@@ -150,9 +149,6 @@ class TruncatedSeries:
         for var, e in exps.items():
             tup[self.variables.index(var)] = e
         return self.coeffs.get(tuple(tup), 0)
-
-    def constant_term(self):
-        return self.coeffs.get((0,) * len(self.variables), 0)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -189,13 +185,9 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.variables, self.degree, {e: -c for e, c in self.coeffs.items()}
-        )
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.variables, self.degree, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -225,7 +217,7 @@ class TruncatedSeries:
         low order output coefficients.
         """
         self._compat(g)
-        if g.constant_term():
+        if g.coefficient():
             raise ValueError("substituted series must have zero constant term")
         idx = self.variables.index(var)
         groups: dict[int, dict] = {}
@@ -233,7 +225,7 @@ class TruncatedSeries:
             e = exps[idx]
             rest = exps[:idx] + (0,) + exps[idx + 1 :]
             groups.setdefault(e, {})[rest] = c
-        result = TruncatedSeries.zero(self.variables, self.degree)
+        result = TruncatedSeries(self.variables, self.degree)
         gk = TruncatedSeries.constant(self.variables, self.degree, 1)
         for e in range(max(groups, default=-1) + 1):
             if e:
@@ -264,7 +256,7 @@ def log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
     Built from theta L = theta b + b theta L one degree at a time, where
     theta multiplies each degree-n part by n.
     """
-    if b.constant_term():
+    if b.coefficient():
         raise ValueError("series must have zero constant term")
     bp = _pack(b)
     theta = [{}]
@@ -307,41 +299,46 @@ def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     return _unpack(parts, variables, degree)
 
 
+def _alphabet(a: TruncatedSeries) -> TruncatedSeries:
+    """The block alphabet B = S(p, x) + S(q, y), in the variables
+    (p, q, x, y), from a rooted type A series ``a``.
+
+    One side S(z, t) = z + z^2 t A(z, t) is formed in the ring of ``a``
+    and embedded at (p, x) and at (q, y).  Given ``a`` in z alone, the
+    3-cycle marker is set to one: S = z + z^2 A(z, 1).
+    """
+    zvar, *marker = a.variables
+    z = TruncatedSeries.monomial(a.variables, a.degree, **{zvar: 1})
+    z2t = TruncatedSeries.monomial(
+        a.variables, a.degree, **{zvar: 2}, **dict.fromkeys(marker, 1)
+    )
+    side = z + z2t * a
+    variables = ("p", "q", "x", "y")
+    return side.embed(variables, {"z": "p", "t": "x"}) + side.embed(
+        variables, {"z": "q", "t": "y"}
+    )
+
+
 def b_series(degree: int) -> TruncatedSeries:
     """Alphabet of base-arrow blocks, in the variables (p, q, x, y).
 
     A block is a base arrow oriented one way (weight p, 3-cycles marked by
     x) or the other (weight q, marked by y), optionally carrying an
-    oriented 3-cycle that roots a type A quiver:
-    B = p + p^2 x A(p, x) + q + q^2 y A(q, y).
+    oriented 3-cycle that roots a type A quiver.  Each orientation
+    contributes one side S(z, t) = z + z^2 t A(z, t), so
+    B = S(p, x) + S(q, y).
     """
-    variables = ("p", "q", "x", "y")
-    a = solve_a_point(degree, ("z", "t"))
-    ap = a.embed(variables, {"z": "p", "t": "x"})
-    aq = a.embed(variables, {"z": "q", "t": "y"})
-    P = TruncatedSeries.monomial(variables, degree, p=1)
-    Q = TruncatedSeries.monomial(variables, degree, q=1)
-    P2x = TruncatedSeries.monomial(variables, degree, p=2, x=1)
-    Q2y = TruncatedSeries.monomial(variables, degree, q=2, y=1)
-    return P + P2x * ap + Q + Q2y * aq
+    return _alphabet(solve_a_point(degree, ("z", "t")))
 
 
 def b_series_at_unit(degree: int) -> TruncatedSeries:
     """The block alphabet with both 3-cycle markers set to one, in the
-    variables of :func:`b_series`.
+    variables of :func:`b_series`: B = S(p, 1) + S(q, 1).
 
     Built from the one-variable solve rather than by specializing
     :func:`b_series`, so it is exact at every stored degree.
     """
-    variables = ("p", "q", "x", "y")
-    a1 = solve_a_point(degree, ("z",))
-    ap = a1.embed(variables, {"z": "p"})
-    aq = a1.embed(variables, {"z": "q"})
-    P = TruncatedSeries.monomial(variables, degree, p=1)
-    Q = TruncatedSeries.monomial(variables, degree, q=1)
-    P2 = TruncatedSeries.monomial(variables, degree, p=2)
-    Q2 = TruncatedSeries.monomial(variables, degree, q=2)
-    return P + P2 * ap + Q + Q2 * aq
+    return _alphabet(solve_a_point(degree, ("z",)))
 
 
 def atilde_series(degree: int) -> TruncatedSeries:

@@ -9,7 +9,8 @@ its attachment keys and symmetry test by canonical labelings of rooted
 subquivers, necklace counts by brute rotation, and series built from
 products over exponent tuples: logarithms as sums of powers, the rooted
 type A series by fixpoint iteration and the cycle construction as one
-logarithm per divisor.
+logarithm per divisor.  Two helpers the package does not export live here
+too: vertex relabelling and raising every exponent to a multiple.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def mutate_arrow_list(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
             new[k][i] = cnt[i][k]
             new[i][k] = cnt[k][i]
     b = [[new[i][j] - new[j][i] for j in range(n)] for i in range(n)]
+    return ExchangeQuiver.from_matrix(b)
+
+
+def relabel(q: ExchangeQuiver, perm) -> ExchangeQuiver:
+    """Rename vertices: old vertex ``i`` becomes ``perm[i]``."""
+    n = q.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        row = q.b[i]
+        pi = perm[i]
+        for j in range(n):
+            b[pi][perm[j]] = row[j]
     return ExchangeQuiver.from_matrix(b)
 
 
@@ -142,7 +157,7 @@ def reference_enumerate(seed: ExchangeQuiver, multiplicity_cap: int = 2) -> Muta
                 members[key] = q2
                 depths[key] = d + 1
                 queue.append((q2, d + 1))
-    return MutationClass(seed, members, depths)
+    return MutationClass(members, depths)
 
 
 def reference_chordless_cycles(q: ExchangeQuiver):
@@ -258,9 +273,9 @@ def reference_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def reference_log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
     """log(1/(1 - b)) as the sum of b**m / m."""
-    if b.constant_term():
+    if b.coefficient():
         raise ValueError("series must have zero constant term")
-    acc = TruncatedSeries.zero(b.variables, b.degree)
+    acc = TruncatedSeries(b.variables, b.degree)
     power = TruncatedSeries.constant(b.variables, b.degree, 1)
     for m in range(1, b.degree + 1):
         power = reference_mul(power, b)
@@ -294,17 +309,27 @@ def reference_solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSerie
         a = nxt
 
 
+def reference_alphabet(degree: int, marked: bool = True) -> TruncatedSeries:
+    """The block alphabet in p, q, x, y, each orientation's blocks
+    multiplied out in that ring; unless ``marked``, the 3-cycle markers
+    are set to one."""
+    variables = ("p", "q", "x", "y")
+    a = reference_solve_a_point(degree, ("z", "t") if marked else ("z",))
+    b = TruncatedSeries(variables, degree)
+    for v, marker in (("p", "x"), ("q", "y")):
+        arrow = TruncatedSeries.monomial(variables, degree, **{v: 1})
+        block = TruncatedSeries.monomial(
+            variables, degree, **{v: 2}, **({marker: 1} if marked else {})
+        )
+        b = b + arrow + reference_mul(block, a.embed(variables, {"z": v, "t": marker}))
+    return b
+
+
 def reference_atilde_series(degree: int) -> TruncatedSeries:
     """The cycle construction over the block alphabet in p, q, x, y, with
     one logarithm of B(v^k) for every k."""
-    variables = ("p", "q", "x", "y")
-    a = reference_solve_a_point(degree)
-    b = TruncatedSeries.zero(variables, degree)
-    for v, marker in (("p", "x"), ("q", "y")):
-        arrow = TruncatedSeries.monomial(variables, degree, **{v: 1})
-        block = TruncatedSeries.monomial(variables, degree, **{v: 2, marker: 1})
-        b = b + arrow + reference_mul(block, a.embed(variables, {"z": v, "t": marker}))
-    total = TruncatedSeries.zero(variables, degree)
+    b = reference_alphabet(degree)
+    total = TruncatedSeries(b.variables, degree)
     for k in range(1, degree + 1):
         log = reference_log_one_over_one_minus(raise_exponents(b, k))
         total = total + log * Fraction(euler_phi(k), k)

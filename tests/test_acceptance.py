@@ -11,11 +11,11 @@ import itertools
 import random
 import time
 
-from oracles import random_quiver
+from oracles import random_quiver, relabel
 from quivercount import counting
 from quivercount.canonical import canonical_key
 from quivercount.cli import run
-from quivercount.quiver import mutate, relabel
+from quivercount.quiver import mutate
 from quivercount.verify import CHECK_FAILURES, iter_checks
 
 CHECKS = iter_checks(10, 12)

@@ -12,6 +12,7 @@ from oracles import (
     reference_chordless_cycles,
     reference_is_symmetric,
     reference_rooted_key,
+    relabel,
 )
 from quivercount.canonical import canonical_key
 from quivercount.classify import (
@@ -25,7 +26,6 @@ from quivercount.quiver import (
     ExchangeQuiver,
     mutate,
     read_quiver,
-    relabel,
 )
 
 

@@ -10,8 +10,15 @@ import time
 
 import pytest
 
+import quivercount
 from quivercount import cli, verify
-from quivercount.cli import TABLE_N_MAX, run
+from quivercount.cli import (
+    COUNT_WEIGHT_MAX,
+    DEGREE_MAX,
+    RANK_MAX,
+    TABLE_N_MAX,
+    run,
+)
 from quivercount.mutation_class import seed_cycle
 from quivercount.quiver import ExchangeQuiver, read_quiver, write_quiver
 
@@ -66,15 +73,40 @@ def test_count_json(capsys):
         ["verify", "--n-max", "0", "--degree", "-3"],
         ["verify", "--n-max", "3", "--degree", "4"],
         ["table", "--n-max", str(TABLE_N_MAX + 1)],
+        # these two used to run in full, then fail converting the answer
+        # to text; the third printed its answer
+        ["count", "--r", "8000", "--s", "8000"],
+        ["count", "--r", "0", "--s", "10000"],
+        ["count", "--r", str(COUNT_WEIGHT_MAX + 1), "--s", "1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
     assert run(args) == 2
 
 
-def test_table_names_its_ceiling(capsys):
-    assert run(["table", "--n-max", str(TABLE_N_MAX + 1)]) == 2
-    assert f"at most {TABLE_N_MAX}" in capsys.readouterr().err
+W = COUNT_WEIGHT_MAX
+# each ceiling, by name: a command one past it, and the ceiling
+CEILINGS = {
+    "table": (f"table --n-max {TABLE_N_MAX + 1}", TABLE_N_MAX),
+    "count-r": (f"count --r {W + 1} --s 1", W),
+    "count-s": (f"count --r 1 --s {W + 1}", W),
+    "count-type-d": (f"count --r 0 --s {W + 1}", W),
+    "count-refined": (f"count --r {W + 1} --s 2 --r2 0 --s2 0", W),
+    "count-derived-r": (f"count --r1 {W + 1} --r2 0 --s1 1 --s2 0", W),
+    # s1 + 2*s2 = 1 + 2*(W // 2) = W + 1, for an even W
+    "count-derived-s": (f"count --r1 1 --r2 0 --s1 1 --s2 {W // 2}", W),
+    "verify-n-max": (f"verify --n-max {RANK_MAX + 1}", RANK_MAX),
+    "verify-degree": (f"verify --degree {DEGREE_MAX + 1}", DEGREE_MAX),
+    "dynkin-d": (f"enumerate --dynkin-d {RANK_MAX + 1}", RANK_MAX),
+    "cycle": (f"enumerate --cycle 1 {RANK_MAX}", RANK_MAX),
+}
+
+
+@pytest.mark.parametrize("name", CEILINGS)
+def test_usage_error_names_the_ceiling(capsys, name):
+    command, ceiling = CEILINGS[name]
+    assert run(command.split()) == 2
+    assert f"at most {ceiling}, got" in capsys.readouterr().err
 
 
 def test_enumerate_cycle(capsys):
@@ -290,7 +322,9 @@ def fresh_summaries():
     verify._summary.cache_clear()
 
 
-def test_verify_names_the_census_when_a_member_is_rejected(monkeypatch, fresh_summaries):
+def test_verify_names_the_census_when_a_member_is_rejected(
+    capsys, monkeypatch, fresh_summaries
+):
     real = verify.classify
     rejected = []
 
@@ -301,20 +335,20 @@ def test_verify_names_the_census_when_a_member_is_rejected(monkeypatch, fresh_su
         return real(q)
 
     monkeypatch.setattr(verify, "classify", rejects_one_member)
-    lines = []
-    assert verify.run_verification(4, 4, log=lines.append) == "parameter-census-1-2"
+    assert verify.run_verification(4, 4) == "parameter-census-1-2"
+    lines = capsys.readouterr().out.splitlines()
     assert "ok class-size-atilde-1-2" in lines
     assert lines[-1].startswith("FAIL parameter-census-1-2: class member fell outside")
 
 
 def test_verify_names_the_type_d_check_when_a_member_is_accepted(
-    monkeypatch, fresh_summaries
+    capsys, monkeypatch, fresh_summaries
 ):
     real = verify.classify
     annular = real(seed_cycle(1, 2))
     monkeypatch.setattr(verify, "classify", lambda q: real(q) or annular)
-    lines = []
-    assert verify.run_verification(4, 4, log=lines.append) == "class-size-dynkin-d-4"
+    assert verify.run_verification(4, 4) == "class-size-dynkin-d-4"
+    lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("FAIL class-size-dynkin-d-4: classify accepted")
 
 
@@ -326,6 +360,36 @@ def test_runs_as_a_module_from_a_checkout():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "12")
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package is a deliberate change
+    assert sorted(quivercount.__all__) == [
+        "AtildeStructure",
+        "CapExceeded",
+        "ExchangeQuiver",
+        "MutationClass",
+        "QuiverFormatError",
+        "RealizationParams",
+        "canonical_key",
+        "classify",
+        "counting",
+        "dumps",
+        "enumerate_class",
+        "is_symmetric",
+        "loads",
+        "max_multiplicity",
+        "mutate",
+        "parse_rooted_type_a",
+        "read_quiver",
+        "seed_cycle",
+        "seed_dynkin_d",
+        "series",
+        "underlying_graph_connected",
+        "write_quiver",
+    ]
+    for name in quivercount.__all__:
+        assert hasattr(quivercount, name), name
 
 
 def test_package_imports_only_the_standard_library():
@@ -355,7 +419,7 @@ def test_verify_checks_run_with_asserts_stripped():
         "from quivercount import counting, verify\n"
         "real = counting.a_tilde\n"
         "counting.a_tilde = lambda r, s: real(r, s) + 1\n"
-        "print(verify.run_verification(4, 6, log=lambda line: None))\n"
+        "print(verify.run_verification(4, 6))\n"
     )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
@@ -363,7 +427,11 @@ def test_verify_checks_run_with_asserts_stripped():
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60,
     )
-    assert (done.returncode, done.stdout.strip()) == (0, "class-size-atilde-1-1")
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == [
+        "FAIL class-size-atilde-1-1: enumerated 1, formula says 2",
+        "class-size-atilde-1-1",
+    ]
 
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"

@@ -86,10 +86,10 @@ def test_a_tilde_symmetric_in_arguments():
 
 
 def test_a_tilde_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        a_tilde(0, 1)
-    with pytest.raises(ValueError):
-        a_tilde(-1, 3)
+    # the symmetric and realization counts refuse these for a_tilde
+    for r, s in [(0, 1), (1, 0), (-1, 3), (3, -1), (0, 0), (-2, -2)]:
+        with pytest.raises(ValueError):
+            a_tilde(r, s)
     with pytest.raises(ValueError, match="oriented 2-cycle"):
         a_tilde(0, 2)
 

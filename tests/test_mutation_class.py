@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from oracles import random_quiver, reference_enumerate
+from oracles import random_quiver, reference_enumerate, relabel
 from quivercount import mutation_class
 from quivercount.canonical import canonical_key
 from quivercount.counting import a_tilde
@@ -23,7 +23,6 @@ from quivercount.quiver import (
     max_multiplicity,
     mutate,
     read_quiver,
-    relabel,
     underlying_graph_connected,
 )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mutate_arrow_list, random_quiver
+from oracles import mutate_arrow_list, random_quiver, relabel
 from quivercount.quiver import (
     MAX_VERTICES,
     ExchangeQuiver,
@@ -15,7 +15,6 @@ from quivercount.quiver import (
     max_multiplicity,
     mutate,
     read_quiver,
-    relabel,
     underlying_graph_connected,
     write_quiver,
 )

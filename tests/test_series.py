@@ -8,6 +8,7 @@ from oracles import (
     all_quivers,
     necklace_count,
     raise_exponents,
+    reference_alphabet,
     reference_atilde_series,
     reference_log_one_over_one_minus,
     reference_mul,
@@ -21,6 +22,7 @@ from quivercount.series import (
     TruncatedSeries,
     atilde_series,
     b_series,
+    b_series_at_unit,
     log_one_over_one_minus,
     solve_a_point,
 )
@@ -43,7 +45,7 @@ def test_product_of_conjugates():
 
 def test_additive_identity_and_truncation():
     f = mono(3, p=2) + mono(3, q=1) * 5
-    assert f + TruncatedSeries.zero(VARS, 3) == f
+    assert f + TruncatedSeries(VARS, 3) == f
     assert (mono(3, p=2) * mono(3, q=2)).coeffs == {}
 
 
@@ -150,7 +152,7 @@ def test_a_point_against_brute_force_enumeration(nverts):
 def test_cycle_construction_reproduces_necklace_counts():
     deg = 8
     atoms = mono(deg, p=1) + mono(deg, q=1)
-    total = TruncatedSeries.zero(VARS, deg)
+    total = TruncatedSeries(VARS, deg)
     for k in range(1, deg + 1):
         ak = raise_exponents(atoms, k)
         if not ak.coeffs:
@@ -215,6 +217,8 @@ def test_series_match_reference_routes(degree):
             degree, variables
         )
     b = b_series(degree)
+    assert b == reference_alphabet(degree)
+    assert b_series_at_unit(degree) == reference_alphabet(degree, marked=False)
     assert log_one_over_one_minus(b) == reference_log_one_over_one_minus(b)
     assert atilde_series(degree) == reference_atilde_series(degree)
 
