@@ -33,10 +33,10 @@ TABLE_N_MAX = 500
 # every side weight of count: at 1000 the slowest form, --r2 0 --s2 0,
 # takes about 1.5 s for a 598-digit answer
 COUNT_WEIGHT_MAX = 1000
-# the rank of verify --n-max, enumerate --dynkin-d and --cycle R + S:
+# the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
 # D_13 takes about 110 s and 300 MB, and D_n grows about 3.5x per rank
 RANK_MAX = 13
-# verify --n-max 4 --degree 40 takes 7 to 9 s, about 1.9x per 4 degrees
+# verify --n-max 4 --degree 40 takes 9 to 10 s, about 1.9x per 4 degrees
 DEGREE_MAX = 40
 
 
@@ -138,6 +138,7 @@ def _cmd_enumerate(args) -> int:
         seed = seed_dynkin_d(args.dynkin_d)
     else:
         seed = read_quiver(args.seed)
+        _at_most("enumerate --seed vertices", seed.n, RANK_MAX)
     # the walk can take minutes, so a dump that cannot be written is refused first
     if args.out:
         _refuse_member_files(args.out)

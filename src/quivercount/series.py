@@ -31,8 +31,11 @@ parts already known:
 - the cycle construction sum over k of phi(k)/k log(1/(1 - B(v^k))) needs
   that logarithm only once, since log(1/(1 - B(v^k))) = L(v^k) exactly
   under total-degree truncation.  Its coefficient at exponent e is
-  (1/|e|) sum over k dividing e of phi(k) (theta L)_(e/k), summed in
-  integers and checked to divide exactly.
+  (1/|e|) sum over k dividing e of phi(k) (theta L)_(e/k), summed over
+  the integer parts of theta L, never through L.  The monomial v^(k e)
+  has k times the packed code of v^e, and no carry can occur, because
+  each of its exponents is at most k |e| <= D, below the base.  Each
+  part m is then checked to divide exactly by m and unpacked once.
 
 The same theta states the derivative check of :mod:`quivercount.verify`
 in the ring of the alphabet itself: with both 3-cycle markers set to one,
@@ -250,24 +253,33 @@ class TruncatedSeries:
         return TruncatedSeries(variables, self.degree, out)
 
 
+def _theta_log(b: list[dict]) -> list[dict]:
+    """Homogeneous parts of theta L, L = log(1/(1 - b)), for packed ``b``.
+
+    theta L = theta b + b theta L gives each part from those below it:
+    (theta L)_n = n b_n + sum over 0 < j < n of b_(n-j) (theta L)_j.
+    """
+    theta = [{}]
+    for n in range(1, len(b)):
+        part = _product_part(b, theta, n)
+        for code, c in b[n].items():
+            part[code] = part.get(code, 0) + n * c
+        theta.append(part)
+    return theta
+
+
 def log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
     """log(1/(1 - b)), for b with zero constant term.
 
-    Built from theta L = theta b + b theta L one degree at a time, where
-    theta multiplies each degree-n part by n.
+    Its degree-n part is (theta L)_n / n, where theta multiplies each
+    degree-n part by n and theta L comes from the one recursion that
+    :func:`atilde_series` also sums over.
     """
     if b.coefficient():
         raise ValueError("series must have zero constant term")
-    bp = _pack(b)
-    theta = [{}]
-    for n in range(1, b.degree + 1):
-        part = _product_part(bp, theta, n)
-        for code, c in bp[n].items():
-            part[code] = part.get(code, 0) + n * c
-        theta.append(part)
+    theta = _theta_log(_pack(b))
     for n, part in enumerate(theta):
-        for code, c in part.items():
-            part[code] = Fraction(c, n)
+        theta[n] = {code: Fraction(c, n) for code, c in part.items()}
     return _unpack(theta, b.variables, b.degree)
 
 
@@ -299,6 +311,10 @@ def solve_a_point(degree: int, variables=("z", "t")) -> TruncatedSeries:
     return _unpack(parts, variables, degree)
 
 
+# the ring of the block alphabet and of the cycle construction over it
+_BLOCK_VARIABLES = ("p", "q", "x", "y")
+
+
 def _alphabet(a: TruncatedSeries) -> TruncatedSeries:
     """The block alphabet B = S(p, x) + S(q, y), in the variables
     (p, q, x, y), from a rooted type A series ``a``.
@@ -313,9 +329,8 @@ def _alphabet(a: TruncatedSeries) -> TruncatedSeries:
         a.variables, a.degree, **{zvar: 2}, **dict.fromkeys(marker, 1)
     )
     side = z + z2t * a
-    variables = ("p", "q", "x", "y")
-    return side.embed(variables, {"z": "p", "t": "x"}) + side.embed(
-        variables, {"z": "q", "t": "y"}
+    return side.embed(_BLOCK_VARIABLES, {"z": "p", "t": "x"}) + side.embed(
+        _BLOCK_VARIABLES, {"z": "q", "t": "y"}
     )
 
 
@@ -349,24 +364,27 @@ def atilde_series(degree: int) -> TruncatedSeries:
     and evaluates the log at exponent-scaled arguments.  That log is L(v^k)
     for the one logarithm L of the alphabet, so the exponent e collects
     phi(k) (theta L)_(e/k) over the k dividing e, and the sum over |e| must
-    be an integer: a remainder raises ArithmeticError.
+    be an integer: a remainder raises ArithmeticError.  The sums run over
+    the integer parts of theta L.  Raising a monomial of degree n to the
+    k-th power multiplies its packed code by k, since each exponent of the
+    power is at most k n <= degree, below the base, so no digit carries.
     """
-    log = log_one_over_one_minus(b_series(degree))
-    phi = [0] + [euler_phi(k) for k in range(1, degree + 1)]
-    sums: dict[tuple[int, ...], int] = {}
-    for exps, c in log.coeffs.items():
-        n = sum(exps)
-        # c is (theta L)_e / n in lowest terms, and (theta L)_e is an
-        # integer because the alphabet's coefficients are, so this is exact
-        theta = c.numerator * (n // c.denominator)
-        for k in range(1, degree // n + 1):
-            key = tuple(k * e for e in exps)
-            sums[key] = sums.get(key, 0) + phi[k] * theta
-    del log  # freed before the result is copied, to lower the peak memory
-    for exps, total in sums.items():
-        sums[exps], rem = divmod(total, sum(exps))
-        if rem:
-            raise ArithmeticError(
-                f"coefficient at {exps} is {total}/{sum(exps)}, not an integer"
-            )
-    return TruncatedSeries(("p", "q", "x", "y"), degree, sums)
+    theta = _theta_log(_pack(b_series(degree)))
+    # the cycle sums are taken in place.  Part n already holds its own
+    # term (k = 1, phi(1) = 1) and receives only from the smaller parts
+    # n / k, so a descending n reads it for its multiples before it changes
+    for n in range(degree // 2, 0, -1):
+        for k in range(2, degree // n + 1):
+            out, w = theta[k * n], euler_phi(k)
+            for code, c in theta[n].items():
+                code *= k
+                out[code] = out.get(code, 0) + w * c
+    for m, part in enumerate(theta):
+        for code, total in part.items():
+            part[code], rem = divmod(total, m)
+            if rem:
+                (exps,) = _unpack([{code: 1}], _BLOCK_VARIABLES, degree).coeffs
+                raise ArithmeticError(
+                    f"coefficient at {exps} is {total}/{m}, not an integer"
+                )
+    return _unpack(theta, _BLOCK_VARIABLES, degree)

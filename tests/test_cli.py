@@ -173,6 +173,30 @@ def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_pat
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [
+        ExchangeQuiver.from_arrows(RANK_MAX + 1, [(i, i + 1) for i in range(RANK_MAX)]),
+        # an oriented cycle whose own labeling used to recurse past the
+        # interpreter's limit, after about 17 s
+        seed_cycle(0, 999),
+    ],
+    ids=["path", "oriented-cycle-999"],
+)
+def test_enumerate_seed_rank_is_bounded(capsys, monkeypatch, tmp_path, seed):
+    path = tmp_path / "seed.quiver"
+    write_quiver(seed, path)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked from a seed above the rank ceiling")
+
+    monkeypatch.setattr(cli, "enumerate_class", no_walk)
+    assert run(["enumerate", "--seed", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"enumerate --seed vertices is at most {RANK_MAX}, got {seed.n}" in err
+    assert "Traceback" not in err
+
+
 def test_enumerate_cap_exceeded_exits_three(capsys, tmp_path):
     seed = tmp_path / "wild.quiver"
     write_quiver(ExchangeQuiver.from_arrows(2, [(0, 1, 3)]), seed)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,21 @@ def test_series_match_reference_routes(degree):
     assert b_series_at_unit(degree) == reference_alphabet(degree, marked=False)
     assert log_one_over_one_minus(b) == reference_log_one_over_one_minus(b)
     assert atilde_series(degree) == reference_atilde_series(degree)
+
+
+# sha-256 over sorted(atilde_series(d).coeffs.items()), taken when the cycle
+# sums ran over exponent tuples; 28 is the series-oracle degree, and the
+# reference routes above stop at 16
+ATILDE_DIGESTS = {
+    28: "cd0de7fe6e25445d98c3e43092f7f59dae5faac845717158b57a517ec8b136ac",
+    30: "1dacaf3cb913e1e496089526295b45347bcae832bf6d27c889a4d8ec2875a003",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(ATILDE_DIGESTS))
+def test_atilde_series_digest_past_the_reference_degrees(degree):
+    items = repr(sorted(atilde_series(degree).coeffs.items())).encode()
+    assert hashlib.sha256(items).hexdigest() == ATILDE_DIGESTS[degree]
 
 
 NONZERO = st.one_of(
