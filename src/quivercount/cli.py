@@ -36,7 +36,7 @@ COUNT_WEIGHT_MAX = 1000
 # the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
 # D_13 takes about 110 s and 300 MB, and D_n grows about 3.5x per rank
 RANK_MAX = 13
-# verify --n-max 4 --degree 40 takes 9 to 10 s, about 1.9x per 4 degrees
+# verify --n-max 4 --degree 40 takes 2 to 2.5 s, about 1.4x per 4 degrees
 DEGREE_MAX = 40
 
 
@@ -141,6 +141,7 @@ def _cmd_enumerate(args) -> int:
         _at_most("enumerate --seed vertices", seed.n, RANK_MAX)
     # the walk can take minutes, so a dump that cannot be written is refused first
     if args.out:
+        _refuse_uncreatable(args.out)
         _refuse_member_files(args.out)
     if args.json:
         _refuse_unwritable(args.json)
@@ -161,6 +162,16 @@ def _refuse_unwritable(path) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write a file at {path}")
+
+
+def _refuse_uncreatable(path) -> None:
+    """Raise OSError, creating nothing, when no directory can be made at
+    ``path``: its nearest existing ancestor is not a writable directory."""
+    ancestor = os.path.abspath(path)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK)):
+        raise OSError(f"cannot make a directory at {path}")
 
 
 def _cmd_classify(args) -> int:

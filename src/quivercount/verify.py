@@ -19,9 +19,9 @@ range is one rule of the two scale parameters ``n_max`` and ``degree``
   The quadratic, substitution and derivative identities compare whole
   series, and the Catalan check reads every z^d, so all four cover every
   degree up to ``degree``.  The coefficient grid covers the cells with
-  r + s + r2 + s2 <= degree and the list counts those with r + r2 <= degree;
-  a marker marginal (type D [q^n], list total at weight r) needs
-  n + n // 2 <= degree
+  r + s + r2 + s2 <= degree, its type D marginal [q^n] needs
+  n + n // 2 <= degree, and the list counts cover the cells with
+  r + r2 <= degree and the totals at every weight r <= degree
 
 Each class is enumerated and classified once, in one pass, and only its
 summary (size and censuses) is memoised: the members are dropped when the
@@ -226,28 +226,29 @@ def _series_derivative(degree):
 
 
 def _series_lists(degree):
-    # G = 1/(1 - B) lists the base-arrow blocks; G <- 1 + B*G fixes one
-    # more total degree per step
-    b = b_series(degree)
-    g = TruncatedSeries.constant(b.variables, degree, 1)
-    for _ in range(degree):
-        g = 1 + b * g
-    by_weight = Counter()
-    for (p, q, x, y), c in g.coeffs.items():
-        by_weight[p + q, x + y] += c
-    for r in range(degree + 1):
-        for r2 in range(min(r // 2, degree - r) + 1):
-            got = by_weight[r, r2]
-            expected = counting.list_count_refined(r, r2)
-            _require(
-                got == expected,
-                f"weight {r}, r2 = {r2}: {got}, formula {expected}",
-            )
-        # the marker marginal is complete only while r + r//2 fits
-        if r + r // 2 <= degree:
-            got = sum(by_weight[r, r2] for r2 in range(r // 2 + 1))
-            expected = counting.list_count(r)
-            _require(got == expected, f"weight {r}: {got}, formula {expected}")
+    # G = 1/(1 - B) lists the base-arrow blocks, so (1 - B) G = 1, refined
+    # and in total.  q = p, y = x keeps total degree, so the refined check
+    # reads every cell with r + r2 <= degree.  B has no constant term, so
+    # the residual's lowest term sits at the first wrong count, where the
+    # series reads the formula minus the residual
+    refined = {
+        (r, r2): counting.list_count_refined(r, r2)
+        for r in range(degree + 1)
+        for r2 in range(r // 2 + 1)
+    }
+    totals = {(r,): counting.list_count(r) for r in range(degree + 1)}
+    blocks = b_series(degree).embed(("p", "x"), {"q": "p", "y": "x"})
+    at_unit = b_series_at_unit(degree).embed(("p",), dict.fromkeys("qxy", "p"))
+    for b, g, cell in (
+        (blocks, refined, "weight {}, r2 = {}"),
+        (at_unit, totals, "weight {}"),
+    ):
+        residual = (1 - b) * TruncatedSeries(b.variables, degree, g) - 1
+        if residual.coeffs:
+            e = min(residual.coeffs, key=sum)
+            expected = g.get(e, 0)
+            got = expected - residual.coeffs[e]
+            raise AssertionError(f"{cell.format(*e)}: {got}, formula {expected}")
 
 
 def _series_grid(degree):

@@ -160,10 +160,12 @@ def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_pat
     err = capsys.readouterr().err
     assert err == f"error: {out_dir} already holds member-*.quiver files\n"
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
-    # a file in place of the directory is refused before the walk too
+    # a file in place of the directory, or on its path, is refused before
+    # the walk too
     member = out_dir / sorted(before)[0]
-    assert run(["enumerate", "--dynkin-d", "10", "--out", str(member)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for path in (member, member / "members"):
+        assert run(["enumerate", "--dynkin-d", "10", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     # so is a JSON dump that cannot be written, and it creates no file
     missing = tmp_path / "absent" / "members.json"
     for path in (missing, out_dir):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -185,12 +186,19 @@ def test_cycle_sum_integrality_gate(monkeypatch):
 # -- the registry's series identities reach the truncation degree -----------------
 
 
+def _check(name, degree):
+    (thunk,) = [t for n, t in verify.iter_checks(verify.MIN_N_MAX, degree) if n == name]
+    return thunk
+
+
 @pytest.mark.parametrize("degree", [verify.MIN_DEGREE, 12])
 @pytest.mark.parametrize(
     "check, built_by, variable",
     [
         ("series-derivative-identity", "b_series_at_unit", "p"),
         ("series-catalan-specialization", "solve_a_point", "z"),
+        ("series-list-coefficients", "b_series", "p"),
+        ("series-list-coefficients", "b_series_at_unit", "p"),
     ],
 )
 def test_series_check_reaches_the_truncation_degree(
@@ -203,9 +211,31 @@ def test_series_check_reaches_the_truncation_degree(
         return s + TruncatedSeries.monomial(s.variables, degree, **{variable: degree})
 
     monkeypatch.setattr(verify, built_by, plus_top_term)
-    (thunk,) = [t for n, t in verify.iter_checks(verify.MIN_N_MAX, degree) if n == check]
     with pytest.raises(AssertionError):
-        thunk()
+        _check(check, degree)()
+
+
+def test_list_check_reaches_the_top_total(monkeypatch):
+    degree = 12
+    real = counting.list_count
+    monkeypatch.setattr(counting, "list_count", lambda r: real(r) + (r == degree))
+    message = f"^weight {degree}: {real(degree)}, formula {real(degree) + 1}$"
+    with pytest.raises(AssertionError, match=message):
+        _check("series-list-coefficients", degree)()
+
+
+def test_list_check_takes_a_fixed_number_of_products(monkeypatch):
+    real = TruncatedSeries.__mul__
+    calls = Counter()
+
+    def counted(self, other):
+        calls[self.degree] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for degree in (verify.MIN_DEGREE, 16):
+        _check("series-list-coefficients", degree)()
+    assert calls[verify.MIN_DEGREE] == calls[16], calls
 
 
 # -- against the reference routes -------------------------------------------------
