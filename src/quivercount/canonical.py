@@ -41,6 +41,7 @@ what it knows about one to the other.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -76,6 +77,16 @@ def _refine(
         split = []
         kept = []
         for start, cell in cells:
+            if len(cell) == 2:
+                # the common case: compare the two signatures directly
+                v, w = cell
+                sv = sorted([col[u] * width + e for u, e in adj[v]])
+                sw = sorted([col[u] * width + e for u, e in adj[w]])
+                if sv == sw:
+                    kept.append((start, cell))
+                else:
+                    split.append((start, [[v], [w]] if sv < sw else [[w], [v]]))
+                continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 s = tuple(sorted([col[u] * width + e for u, e in adj[v]]))
@@ -174,7 +185,9 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
     free: equal keys imply an actual vertex bijection matching the matrices
     entry by entry.  Optional ``colors`` restricts admissible relabelings to
     those preserving the given vertex classes; rooted subquivers pass the
-    root as a separate color.
+    root as a separate color.  Each color is an integer, one per vertex;
+    raises ValueError for a list of another length or for an entry such
+    as 1.5 or "1" that is not an integer.
     """
     return canonical_labeling(q, colors)[0]
 
@@ -201,11 +214,17 @@ def canonical_labeling(
     """
     n = q.n
     if colors is not None:
-        colors = [int(c) for c in colors]
-        if len(colors) != n:
+        # operator.index, not int: a truncated 1.5 or a parsed "1" would
+        # merge classes the caller kept apart
+        classes = []
+        for c in colors:
+            try:
+                classes.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"color {c!r} is not an integer") from None
+        if len(classes) != n:
             raise ValueError("colors must assign one class per vertex")
-        if len(set(colors)) <= 1:
-            colors = None
+        colors = classes if len(set(classes)) > 1 else None
     if memo is None:
         memo = {}
     b = q.b

@@ -34,7 +34,7 @@ TABLE_N_MAX = 500
 # takes about 1.5 s for a 598-digit answer
 COUNT_WEIGHT_MAX = 1000
 # the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
-# D_13 takes about 110 s and 300 MB, and D_n grows about 3.5x per rank
+# D_13 takes about 72 s and 305 MB, and D_n grows about 3.5x per rank
 RANK_MAX = 13
 # verify --n-max 4 --degree 40 takes 2 to 2.5 s, about 1.4x per 4 degrees
 DEGREE_MAX = 40

@@ -16,7 +16,8 @@ result is a known member, which is within the cap.
   vertex that discovered it: that gives its parent.
 - A mutated matrix equal to the matrix of a member that still waits (as
   around commuting squares, where mu_j mu_i = mu_i mu_j when b_ij = 0) is
-  skipped before its key is computed.
+  skipped before its key is computed.  It is looked up only when its row
+  at k is some stored member's row at k, as every waiting member's is.
 - Every other edge of the exchange graph that leads back to a known member
   is skipped too.  Say X = mu_k(q) has the key of a member N that still
   waits in the queue, or of q itself.  The two canonical orders give an
@@ -60,7 +61,11 @@ reads the same table.
 
 The canonical labelings of one walk share a memo of row invariants, since
 mutation shares every row away from the mutated vertex; the memo goes with
-the walk.
+the walk.  Mutation at k reads row k only through its split (the negated
+row and the arrows into and out of k), so ``splits[v]`` keeps the split of
+each row met at v, with that row's nonzero pairs from the memo: a vertex's
+row is mostly one of a few stored rows.  A mutated matrix is wrapped as a
+quiver only when it is labeled.
 """
 
 from __future__ import annotations
@@ -74,11 +79,16 @@ from dataclasses import dataclass
 from quivercount.canonical import canonical_key, canonical_labeling
 from quivercount.quiver import (
     ExchangeQuiver,
+    _mutated,
+    _split,
     max_multiplicity,
-    mutate,
     underlying_graph_connected,
     write_quiver,
 )
+
+# Unused here, since the walk mutates through _mutated, but kept as a name
+# of this module: perfbench's tracing hooks patch it here.
+from quivercount.quiver import mutate  # noqa: F401
 
 
 class CapExceeded(RuntimeError):
@@ -149,6 +159,9 @@ def enumerate_class(
     waiting = {seed.b: (seed, 0, order0, set())}
     # rows_at[v]: stored members' rows at v, each the one copy they share
     rows_at = [{row: row} for row in seed.b]
+    # splits[v]: _split of each row met at v, with that row's nonzero pairs
+    # from the memo; a vertex's row is mostly one of a few stored rows
+    splits = [{} for _ in seed.b]
     queue = deque(waiting.values())
     while queue:
         # kept waiting while q is expanded: mu_k(q) ~ q may add a later vertex
@@ -157,32 +170,39 @@ def enumerate_class(
         for k in range(q.n):
             if k in skip:
                 continue  # this mutation gives back a known member
-            q2 = mutate(q, k)
-            entry = waiting.get(q2.b)
-            if entry is not None:
-                entry[3].add(k)  # sigma is the identity
-                continue
-            # k has the same neighbours before and after the mutation; q was
-            # labeled through the memo, so its rows' nonzero pairs are there
-            nbrs = memo[b[k]][0]
-            hit = _swapped_member(q2.b, k, nbrs, rows_at[k], waiting)
+            row = b[k]
+            split = splits[k].get(row)
+            if split is None:
+                # q was labeled through the memo, so its rows are there
+                split = splits[k][row] = (*_split(row), memo[row][0])
+            b2 = _mutated(b, k, split)
+            # a waiting member's row at k is a stored row at k
+            if split[0] in rows_at[k]:
+                entry = waiting.get(b2)
+                if entry is not None:
+                    entry[3].add(k)  # sigma is the identity
+                    continue
+            # k has the same neighbours before and after the mutation
+            nbrs = split[3]
+            hit = _swapped_member(b2, k, nbrs, rows_at[k], waiting)
             if hit is not None:
                 entry, u = hit
                 entry[3].add(u)  # sigma swaps k and u
                 continue
+            q2 = ExchangeQuiver._trusted(b2)
             key2, order2 = canonical_labeling(q2, memo=memo)
             # the labeling put q2's rows in the memo; only the rows at k's
             # neighbours changed, and q is within the cap
-            m = max(memo[q2.b[u]][2] for u, _ in nbrs)
+            m = max(memo[b2[u]][2] for u, _ in nbrs)
             if m > multiplicity_cap:
                 raise CapExceeded(m, multiplicity_cap, d + 1, q2)
             if key2 not in members:
                 # store q2 with the rows that stored members already hold
-                b2 = tuple(at.setdefault(r, r) for at, r in zip(rows_at, q2.b))
+                b2 = tuple(at.setdefault(r, r) for at, r in zip(rows_at, b2))
                 q2 = ExchangeQuiver._trusted(b2)
                 members[key2] = q2
                 depths[key2] = d + 1
-                waiting[q2.b] = record = (q2, d + 1, order2, {k})
+                waiting[b2] = record = (q2, d + 1, order2, {k})
                 queue.append(record)
                 continue
             entry = waiting.get(members[key2].b)

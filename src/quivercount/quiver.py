@@ -114,21 +114,41 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     n = q.n
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for a quiver on {n} vertices")
-    b = q.b
-    bk = b[k]
-    # only two-paths i -> k -> j change entries off row and column k;
-    # every row away from k is unchanged and shared
+    return ExchangeQuiver._trusted(_mutated(q.b, k, _split(q.b[k])))
+
+
+def _split(row):
+    """``(negated row, in-pairs, out-pairs)`` of ``row``, the row at k.
+
+    The in-pairs are the ``(i, a)`` with ``a`` arrows i -> k, the out-pairs
+    the ``(j, c)`` with ``c`` arrows k -> j.  This is all that mutation at
+    k reads of row k, so a caller mutating many matrices that share a row
+    there can split it once.
+    """
     ins = []
     outs = []
-    for i, x in enumerate(bk):
+    for i, x in enumerate(row):
         if x < 0:
             ins.append((i, -x))
         elif x:
             outs.append((i, x))
-    rows = list(b)
     # a tuple built from a list is sized exactly; one built from an iterator
     # keeps spare slots, and the walk's memo and members keep these rows
-    rows[k] = tuple([-x for x in bk])
+    return tuple([-x for x in row]), ins, outs
+
+
+def _mutated(b, k: int, split):
+    """The matrix ``b`` mutated at ``k``, given ``split``, ``_split(b[k])``.
+
+    Only fields 0 to 2 of ``split`` are read, so a caller may keep more
+    after them.  Every row away from k and its neighbours is ``b``'s own
+    tuple, shared.
+    """
+    # only two-paths i -> k -> j change entries off row and column k
+    rows = list(b)
+    rows[k] = split[0]
+    ins = split[1]
+    outs = split[2]
     for i, a in ins:
         row = list(b[i])
         row[k] = -a
@@ -141,7 +161,7 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
         for i, a in ins:
             row[i] -= a * c
         rows[j] = tuple(row)
-    return ExchangeQuiver._trusted(tuple(rows))
+    return tuple(rows)
 
 
 def underlying_graph_connected(q: ExchangeQuiver) -> bool:

@@ -260,6 +260,23 @@ def test_rooted_colors_follow_isomorphism():
     assert canonical_key(q, colors=[0, 1, 1]) == canonical_key(p, colors=[1, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        # int() would read [0, 1, 1] and merge the two classes kept apart
+        ([0, 1.5, 1.2], "color 1.5 is not an integer"),
+        ([0, "1", 1], "color '1' is not an integer"),
+        ([0, 1], "one class per vertex"),
+        ([0, 1, 1, 0], "one class per vertex"),
+    ],
+    ids=["fractional", "text", "short", "long"],
+)
+def test_colors_must_be_one_integer_per_vertex(colors, message):
+    q = ExchangeQuiver.from_arrows(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=message):
+        canonical_key(q, colors=colors)
+
+
 def test_degenerate_symmetric_inputs_stay_fast():
     empty = ExchangeQuiver.from_arrows(10, [])
     doubled = ExchangeQuiver.from_arrows(
