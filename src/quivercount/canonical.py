@@ -17,9 +17,10 @@ bytes are the same either way.
 
 Refinement is cell-local.  A round only splits cells in place, so it signs
 just the vertices of non-singleton cells, codes each (color, entry) pair
-as one order-preserving integer, and numbers the new cells in the old cell
-order.  The ranks, and so the key bytes and orders, are exactly those of
-signing every vertex with nested tuples and sorting them all at once.
+as one order-preserving integer, ``col[u] + e``, where a vertex's color
+``col[u]`` is its cell's first position times ``2 * max|e| + 1``, and
+numbers the new cells in the old cell order.  The ranks, and so the key
+bytes and orders, are exactly those of signing every vertex with nested tuples and sorting them all at once.
 Each row's invariants (its nonzero pairs, its sorted entries, which are
 the first-round signature, and its largest entry) depend on the row tuple
 alone.  Mutation shares every row away from the mutated vertex, so a
@@ -36,7 +37,11 @@ small-integer strings, and the head lists each position's cell rank.
 ``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
 canonical matrix.  Two quivers with equal keys are therefore matched by the
 isomorphism ``order_1[p] -> order_2[p]``, which the enumerator uses to carry
-what it knows about one to the other.
+what it knows about one to the other.  Both public functions check their
+arguments and call one core on the bare matrix, ``_label_matrix``, which
+also returns the matrix's largest entry, read from the memo to size the
+codes.  The enumerator calls that core directly: it labels matrices it
+has not wrapped as quivers, and checks its multiplicity cap on that entry.
 """
 
 from __future__ import annotations
@@ -57,21 +62,23 @@ def _refine(
     """Refine the partition ``col``/``cells`` until it is stable; return the
     cells still open.
 
-    ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry.
-    ``col[v]`` is the first position of v's cell and ``cells`` lists the
-    non-singleton cells as (first position, vertices); both are updated in
-    place.  The caller builds the first partition, from the colors or, for
-    a single color, from each row's sorted entries, which is the first
-    round.  Every call, colored or not, then runs this one split loop.
+    ``adj[v]`` lists the ``(u, b[v][u])`` pairs with a nonzero entry, and
+    ``width = 2 * max|e| + 1``.  ``col[v]`` is the first position of v's
+    cell times ``width``, and ``cells`` lists the non-singleton cells as
+    (that scaled first position, vertices); both are updated in place.  The
+    caller builds the first partition, from the colors or, for a single
+    color, from each row's sorted entries, which is the first round.  Every
+    call, colored or not, then runs this one split loop.
 
     Each round signs ``v`` with the sorted (color of u, entry) pairs of its
-    arrows.  Its color is the first position of its cell, which sorts as
-    the cell's rank, so a round splits cells in place, signs only
-    non-singleton cells and recolors only what it split.  A pair ``(c,
-    e)`` is coded as ``c * width + e``; with ``width = 2 * max|e| + 1`` the
-    codes sort as the pairs do.  So the cells, and the key bytes built on
-    them, are those of one global sort of the nested signatures.  When no
-    cell is left, ``col[v]`` is v's position in the canonical order.
+    arrows.  Its color is its cell's first position, which sorts as the
+    cell's rank, so a round splits cells in place, signs only non-singleton
+    cells and recolors only what it split.  A pair is coded as ``col[u] +
+    e``, which is the position times ``width`` plus ``e``; with that width
+    the codes sort as the pairs do.  So the cells, and the key bytes built
+    on them, are those of one global sort of the nested signatures.  When
+    no cell is left, ``col[v]`` is v's position in the canonical order
+    times ``width``.
     """
     while cells:
         split = []
@@ -80,8 +87,8 @@ def _refine(
             if len(cell) == 2:
                 # the common case: compare the two signatures directly
                 v, w = cell
-                sv = sorted([col[u] * width + e for u, e in adj[v]])
-                sw = sorted([col[u] * width + e for u, e in adj[w]])
+                sv = sorted([col[u] + e for u, e in adj[v]])
+                sw = sorted([col[u] + e for u, e in adj[w]])
                 if sv == sw:
                     kept.append((start, cell))
                 else:
@@ -89,7 +96,7 @@ def _refine(
                 continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                s = tuple(sorted([col[u] * width + e for u, e in adj[v]]))
+                s = tuple(sorted([col[u] + e for u, e in adj[v]]))
                 groups.setdefault(s, []).append(v)
             if len(groups) == 1:
                 kept.append((start, cell))
@@ -104,7 +111,7 @@ def _refine(
                     col[v] = start
                 if len(part) > 1:
                     kept.append((start, part))
-                start += len(part)
+                start += len(part) * width
         cells = kept
     return cells
 
@@ -212,7 +219,6 @@ def canonical_labeling(
     by these calls only, to all of them; by default each call starts from
     an empty one.  The memo never changes a result.
     """
-    n = q.n
     if colors is not None:
         # operator.index, not int: a truncated 1.5 or a parsed "1" would
         # merge classes the caller kept apart
@@ -222,12 +228,22 @@ def canonical_labeling(
                 classes.append(operator.index(c))
             except TypeError:
                 raise ValueError(f"color {c!r} is not an integer") from None
-        if len(classes) != n:
+        if len(classes) != q.n:
             raise ValueError("colors must assign one class per vertex")
         colors = classes if len(set(classes)) > 1 else None
-    if memo is None:
-        memo = {}
-    b = q.b
+    key, order, _ = _label_matrix(q.b, colors, {} if memo is None else memo)
+    return key, order
+
+
+def _label_matrix(b, colors, memo: dict):
+    """``(key, order, big)`` for the exchange matrix ``b``, taken as valid.
+
+    The one labeling behind :func:`canonical_labeling`, on a bare matrix:
+    ``colors`` is None or a list of integers with at least two classes,
+    and ``memo`` is the row memo, which this call fills.  ``big`` is the
+    largest ``|entry|`` of ``b``, read from the memo to size the codes.
+    """
+    n = len(b)
     adj = []
     first = []
     big = 0
@@ -242,11 +258,12 @@ def canonical_labeling(
         first.append(info[1])
         if info[2] > big:
             big = info[2]
+    width = 2 * big + 1
     # with one color, the first round groups the rows by their sorted entries
     by: dict = {}
     for v, c in enumerate(first if colors is None else colors):
         by.setdefault(c, []).append(v)
-    col = [0] * n  # the first position of each vertex's cell
+    col = [0] * n  # the first position of each vertex's cell, times width
     cells = []
     start = 0
     for c in sorted(by):
@@ -255,8 +272,8 @@ def canonical_labeling(
             col[v] = start
         if len(cell) > 1:
             cells.append((start, cell))
-        start += len(cell)
-    cells = _refine(adj, col, cells, 2 * big + 1)
+        start += len(cell) * width
+    cells = _refine(adj, col, cells, width)
     if not cells or all(b[v] == b[cell[0]] for _, cell in cells for v in cell):
         # settled: no cell is open, or only cells of twins, which the
         # search's one leaf takes in vertex order
@@ -272,4 +289,4 @@ def canonical_labeling(
     key = head + ",".join(
         [text[b[v][u]] for p, v in enumerate(order) for u in order[:p]]
     )
-    return key.encode("ascii"), order
+    return key.encode("ascii"), order, big

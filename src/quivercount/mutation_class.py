@@ -29,9 +29,11 @@ result is a known member, which is within the cap.
   that the exact-repeat or the swapped-matrix lookup places is a stored
   member, or one with its entries swapped, so within the cap, and a quiver
   over the cap misses both, so it is caught at the same vertex as when
-  every mutation is checked.  Only the rows at k's neighbours change, and
-  the labeling leaves each row's largest entry in the memo, so the check
-  reads those rows' maxima there.
+  every mutation is checked.  The labeling returns the largest entry of
+  the mutated matrix, and the check reads that.  It is exact: q is within
+  the cap, row k only changes sign and the rows at k's neighbours are the
+  only others that change, so the largest entry exceeds the cap exactly
+  when one of those rows' maxima does, and then equals it.
 - Pentagons of the exchange graph close by a swap.  For a single arrow
   between k and u, mu_k mu_u mu_k mu_u mu_k(Q) is Q with k and u swapped
   (Fomin & Zelevinsky, "Cluster algebras I", arXiv:math/0104151).  So
@@ -64,8 +66,9 @@ mutation shares every row away from the mutated vertex; the memo goes with
 the walk.  Mutation at k reads row k only through its split (the negated
 row and the arrows into and out of k), so ``splits[v]`` keeps the split of
 each row met at v, with that row's nonzero pairs from the memo: a vertex's
-row is mostly one of a few stored rows.  A mutated matrix is wrapped as a
-quiver only when it is labeled.
+row is mostly one of a few stored rows.  The walk labels bare matrices, and
+wraps a mutated matrix as a quiver only when it stores it as a member or
+reports it over the cap.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
-from quivercount.canonical import canonical_key, canonical_labeling
+from quivercount.canonical import _label_matrix, canonical_key
 from quivercount.quiver import (
     ExchangeQuiver,
     _mutated,
@@ -150,8 +153,8 @@ def enumerate_class(
     m0 = max_multiplicity(seed)
     if m0 > multiplicity_cap:
         raise CapExceeded(m0, multiplicity_cap, 0, seed)
-    memo: dict = {}  # row invariants for canonical_labeling
-    key0, order0 = canonical_labeling(seed, memo=memo)
+    memo: dict = {}  # row invariants for the labelings
+    key0, order0, _ = _label_matrix(seed.b, None, memo)
     members = {key0: seed}
     depths = {key0: 0}
     # members queued or being expanded, by matrix; the queue holds the same
@@ -183,21 +186,19 @@ def enumerate_class(
                     entry[3].add(k)  # sigma is the identity
                     continue
             # k has the same neighbours before and after the mutation
-            nbrs = split[3]
-            hit = _swapped_member(b2, k, nbrs, rows_at[k], waiting)
+            hit = _swapped_member(b2, k, split[3], rows_at[k], waiting)
             if hit is not None:
                 entry, u = hit
                 entry[3].add(u)  # sigma swaps k and u
                 continue
-            q2 = ExchangeQuiver._trusted(b2)
-            key2, order2 = canonical_labeling(q2, memo=memo)
-            # the labeling put q2's rows in the memo; only the rows at k's
-            # neighbours changed, and q is within the cap
-            m = max(memo[b2[u]][2] for u, _ in nbrs)
+            # m is b2's largest entry: see the fourth shortcut
+            key2, order2, m = _label_matrix(b2, None, memo)
             if m > multiplicity_cap:
-                raise CapExceeded(m, multiplicity_cap, d + 1, q2)
+                raise CapExceeded(
+                    m, multiplicity_cap, d + 1, ExchangeQuiver._trusted(b2)
+                )
             if key2 not in members:
-                # store q2 with the rows that stored members already hold
+                # store b2 with the rows that stored members already hold
                 b2 = tuple(at.setdefault(r, r) for at, r in zip(rows_at, b2))
                 q2 = ExchangeQuiver._trusted(b2)
                 members[key2] = q2

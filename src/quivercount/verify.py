@@ -41,10 +41,12 @@ from quivercount.classify import classify, is_symmetric
 from quivercount.mutation_class import enumerate_class, seed_cycle, seed_dynkin_d
 from quivercount.series import (
     TruncatedSeries,
+    _pack,
+    _theta_log,
+    _unpack,
     atilde_series,
     b_series,
     b_series_at_unit,
-    log_one_over_one_minus,
     solve_a_point,
 )
 
@@ -209,11 +211,9 @@ def _series_substitution(degree):
 def _series_derivative(degree):
     b1 = b_series_at_unit(degree)
     variables = b1.variables
-    log = log_one_over_one_minus(b1)
-    # theta multiplies each coefficient by its total degree
-    theta = TruncatedSeries(
-        variables, degree, {e: c * sum(e) for e, c in log.coeffs.items()}
-    )
+    # theta L, L = log(1/(1 - B)), read as integers: theta multiplies each
+    # degree-n part of L by n
+    theta = _unpack(_theta_log(_pack(b1)), variables, degree)
     left = 1 + 2 * theta
     p = TruncatedSeries.monomial(variables, degree, p=1)
     q = TruncatedSeries.monomial(variables, degree, q=1)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from oracles import brute_force_isomorphic, reference_canonical_labeling, relabel
 from quivercount import canonical
 from quivercount.canonical import (
+    _label_matrix,
     _min_labeling,
     _refine,
     canonical_key,
     canonical_labeling,
 )
 from quivercount.mutation_class import seed_cycle, seed_dynkin_d
-from quivercount.quiver import ExchangeQuiver, mutate
+from quivercount.quiver import ExchangeQuiver, max_multiplicity, mutate
 from test_quiver import quivers
 
 # Key bytes appear in `enumerate --json`, so they are pinned literally.
@@ -80,6 +81,28 @@ def test_labeling_matches_the_global_sort_reference(q, data):
     for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
         got = canonical_labeling(x, colors, memo=memo)
         assert got == reference_canonical_labeling(x, colors)
+
+
+# filled across the examples of the test below, as a walk fills its memo
+_SHARED_MEMO: dict = {}
+
+
+@given(quivers(max_n=8, max_mult=150), st.data())
+@settings(max_examples=200, deadline=None)
+def test_label_matrix_returns_the_largest_entry(q, data):
+    # the walk checks the cap on the core's largest entry, so it must be the
+    # quiver's, past the key text table too, from a fresh memo or from one
+    # that other quivers filled
+    colors = data.draw(
+        st.none() | st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)
+    )
+    if colors is not None and len(set(colors)) < 2:
+        colors = None  # as canonical_labeling passes a single class
+    want = reference_canonical_labeling(q, colors)
+    for memo in ({}, _SHARED_MEMO):
+        key, order, big = _label_matrix(q.b, colors, memo)
+        assert big == max_multiplicity(q)
+        assert (key, order) == want
 
 
 @st.composite

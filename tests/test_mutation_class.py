@@ -212,7 +212,7 @@ def test_enumeration_matches_reference_bfs(seed):
 
 
 # sha-256 of the class's JSON dump, then the walk's mutations (its
-# _mutated calls) and canonical_labeling calls; a change to the walk's
+# _mutated calls) and labelings (its _label_matrix calls); a change to the walk's
 # shortcuts that moves a count updates it here and says why.  The exact-
 # repeat lookup runs only when the mutated row at k is a stored row there;
 # a gate that hid a hit would raise a labeling count
@@ -252,23 +252,23 @@ PINNED_WALKS = {
     ],
 )
 def test_walk_output_and_call_counts_are_pinned(monkeypatch, seed, pin):
-    calls = {"mutate": 0, "canonical_labeling": 0}
+    calls = {"mutate": 0, "label": 0}
     mutated = mutation_class._mutated
-    labeling = mutation_class.canonical_labeling
+    labeling = mutation_class._label_matrix
 
     def counting_mutated(b, k, split):
         calls["mutate"] += 1
         return mutated(b, k, split)
 
-    def counting_labeling(q, **kwargs):
-        calls["canonical_labeling"] += 1
-        return labeling(q, **kwargs)
+    def counting_labeling(b, colors, memo):
+        calls["label"] += 1
+        return labeling(b, colors, memo)
 
     monkeypatch.setattr(mutation_class, "_mutated", counting_mutated)
-    monkeypatch.setattr(mutation_class, "canonical_labeling", counting_labeling)
+    monkeypatch.setattr(mutation_class, "_label_matrix", counting_labeling)
     dump = json.dumps(class_to_json(enumerate_class(seed)), sort_keys=True)
     digest = hashlib.sha256(dump.encode("ascii")).hexdigest()
-    assert (digest, calls["mutate"], calls["canonical_labeling"]) == pin
+    assert (digest, calls["mutate"], calls["label"]) == pin
 
 
 def test_walk_skips_edges_back_to_known_members(monkeypatch):
@@ -294,14 +294,14 @@ def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
     # pentagons of the exchange graph close by a swap of k and a neighbour;
     # without the lookup the same edges are closed by labeling
     calls = 0
-    labeling = mutation_class.canonical_labeling
+    labeling = mutation_class._label_matrix
 
-    def counting_labeling(q, **kwargs):
+    def counting_labeling(b, colors, memo):
         nonlocal calls
         calls += 1
-        return labeling(q, **kwargs)
+        return labeling(b, colors, memo)
 
-    monkeypatch.setattr(mutation_class, "canonical_labeling", counting_labeling)
+    monkeypatch.setattr(mutation_class, "_label_matrix", counting_labeling)
     seed = seed_cycle(4, 5)
     mc = enumerate_class(seed)
     with_lookup, calls = calls, 0
