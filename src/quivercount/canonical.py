@@ -23,15 +23,15 @@ numbers the new cells in the old cell order.  The ranks, and so the key
 bytes and orders, are exactly those of signing every vertex with nested tuples and sorting them all at once.
 Each row's invariants (its nonzero pairs, its sorted entries, which are
 the first-round signature, and its largest entry) depend on the row tuple
-alone.  Mutation shares every row away from the mutated vertex, so a
-caller labeling many related quivers passes one ``memo`` dict that keeps
-them across calls.  The memo lives as long as the caller keeps it; by
-default each call makes its own.  A labeling reads it in one pass over
-the rows, which also gives the first round: without colors, the first
-partition groups the rows by their sorted entries.  One split loop then
-refines colored and uncolored partitions alike.  Every key is then written
-the same way from the order: the matrix entries come from a table of
-small-integer strings, and the head lists each position's cell rank.
+alone.  Mutation shares every row away from the mutated vertex, so the
+enumerator keeps them across its labelings in one ``memo`` dict, which
+lives as long as its walk; each public call makes its own.  A labeling
+reads it in one pass over the rows, which also gives the first round:
+without colors, the first partition groups the rows by their sorted
+entries.  One split loop then refines colored and uncolored partitions
+alike.  Every key is then written the same way from the order: the matrix
+entries come from a table of small-integer strings, and the head lists
+each position's cell rank.
 
 :func:`canonical_labeling` also returns the ``order`` behind its key:
 ``order[p]`` is the vertex of ``q`` placed at position ``p`` of the
@@ -200,10 +200,7 @@ def canonical_key(q: ExchangeQuiver, colors: Sequence[int] | None = None) -> byt
 
 
 def canonical_labeling(
-    q: ExchangeQuiver,
-    colors: Sequence[int] | None = None,
-    *,
-    memo: dict | None = None,
+    q: ExchangeQuiver, colors: Sequence[int] | None = None
 ) -> tuple[bytes, list[int]]:
     """``(key, order)``: :func:`canonical_key` and the ordering it encodes.
 
@@ -212,12 +209,6 @@ def canonical_labeling(
     ``(p, p')``.  When two quivers have equal keys, ``order_1[p] ->
     order_2[p]`` is an isomorphism from the first onto the second that
     respects ``colors``.
-
-    ``memo`` maps a row tuple to its nonzero ``(u, e)`` pairs, its sorted
-    nonzero entries and its largest ``|e|``.  A caller that labels many
-    quivers sharing rows, as the enumerator does, passes one dict, filled
-    by these calls only, to all of them; by default each call starts from
-    an empty one.  The memo never changes a result.
     """
     if colors is not None:
         # operator.index, not int: a truncated 1.5 or a parsed "1" would
@@ -231,7 +222,7 @@ def canonical_labeling(
         if len(classes) != q.n:
             raise ValueError("colors must assign one class per vertex")
         colors = classes if len(set(classes)) > 1 else None
-    key, order, _ = _label_matrix(q.b, colors, {} if memo is None else memo)
+    key, order, _ = _label_matrix(q.b, colors, {})
     return key, order
 
 
@@ -240,8 +231,10 @@ def _label_matrix(b, colors, memo: dict):
 
     The one labeling behind :func:`canonical_labeling`, on a bare matrix:
     ``colors`` is None or a list of integers with at least two classes,
-    and ``memo`` is the row memo, which this call fills.  ``big`` is the
-    largest ``|entry|`` of ``b``, read from the memo to size the codes.
+    and ``memo`` maps a row tuple to its nonzero ``(u, e)`` pairs, its
+    sorted nonzero entries and its largest ``|e|``; this call fills it, and
+    it never changes a result.  ``big`` is the largest ``|entry|`` of
+    ``b``, read from the memo to size the codes.
     """
     n = len(b)
     adj = []

@@ -36,7 +36,7 @@ COUNT_WEIGHT_MAX = 1000
 # the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
 # D_13 takes about 72 s and 305 MB, and D_n grows about 3.5x per rank
 RANK_MAX = 13
-# verify --n-max 4 --degree 40 takes 2 to 2.5 s, about 1.4x per 4 degrees
+# verify --n-max 4 --degree 40 takes 1.0 to 1.3 s, about 1.4x per 4 degrees
 DEGREE_MAX = 40
 
 

@@ -273,7 +273,7 @@ def log_one_over_one_minus(b: TruncatedSeries) -> TruncatedSeries:
 
     Its degree-n part is (theta L)_n / n, where theta multiplies each
     degree-n part by n and theta L comes from the one recursion that
-    :func:`atilde_series` also sums over.
+    :func:`_cycles` also sums over.
     """
     if b.coefficient():
         raise ValueError("series must have zero constant term")
@@ -358,10 +358,16 @@ def b_series_at_unit(degree: int) -> TruncatedSeries:
 
 def atilde_series(degree: int) -> TruncatedSeries:
     """Generating function of realizations, in the variables of
-    :func:`b_series`: cycles of base-arrow blocks.
+    :func:`b_series`: cycles of base-arrow blocks."""
+    return _cycles(b_series(degree))
 
-    The unlabelled cycle construction weights each divisor k by phi(k)/k
-    and evaluates the log at exponent-scaled arguments.  That log is L(v^k)
+
+def _cycles(alphabet: TruncatedSeries) -> TruncatedSeries:
+    """Unlabelled cycles over ``alphabet``, which has integer coefficients
+    and no constant term, in its own variables and degree.
+
+    The cycle construction weights each divisor k by phi(k)/k and
+    evaluates the log at exponent-scaled arguments.  That log is L(v^k)
     for the one logarithm L of the alphabet, so the exponent e collects
     phi(k) (theta L)_(e/k) over the k dividing e, and the sum over |e| must
     be an integer: a remainder raises ArithmeticError.  The sums run over
@@ -369,7 +375,8 @@ def atilde_series(degree: int) -> TruncatedSeries:
     k-th power multiplies its packed code by k, since each exponent of the
     power is at most k n <= degree, below the base, so no digit carries.
     """
-    theta = _theta_log(_pack(b_series(degree)))
+    variables, degree = alphabet.variables, alphabet.degree
+    theta = _theta_log(_pack(alphabet))
     # the cycle sums are taken in place.  Part n already holds its own
     # term (k = 1, phi(1) = 1) and receives only from the smaller parts
     # n / k, so a descending n reads it for its multiples before it changes
@@ -383,8 +390,8 @@ def atilde_series(degree: int) -> TruncatedSeries:
         for code, total in part.items():
             part[code], rem = divmod(total, m)
             if rem:
-                (exps,) = _unpack([{code: 1}], _BLOCK_VARIABLES, degree).coeffs
+                (exps,) = _unpack([{code: 1}], variables, degree).coeffs
                 raise ArithmeticError(
                     f"coefficient at {exps} is {total}/{m}, not an integer"
                 )
-    return _unpack(theta, _BLOCK_VARIABLES, degree)
+    return _unpack(theta, variables, degree)

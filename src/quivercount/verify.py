@@ -10,18 +10,18 @@ This module is the one place the cross-checks are written; the CLI's
 range is one rule of the two scale parameters ``n_max`` and ``degree``
 (weights r <= s unless stated):
 
-- ``class-size-atilde-r-s``, ``parameter-census-r-s``, ``partition-r-s``:
-  r + s <= n_max
+- ``class-size-atilde-r-s``, ``parameter-census-r-s``: r + s <= n_max
 - ``class-size-dynkin-d-n``: 4 <= n <= n_max, and classify rejects every member
 - ``symmetric-census-r``: r <= n_max // 2, each r2 cell and the total
 - ``marginalization-r-s``: r, s <= n_max - 2, in either order
-- ``series-*``: the six series identities at truncation degree ``degree``.
+- ``series-*``: the seven series identities at truncation degree ``degree``.
   The quadratic, substitution and derivative identities compare whole
   series, and the Catalan check reads every z^d, so all four cover every
   degree up to ``degree``.  The coefficient grid covers the cells with
-  r + s + r2 + s2 <= degree, its type D marginal [q^n] needs
-  n + n // 2 <= degree, and the list counts cover the cells with
-  r + r2 <= degree and the totals at every weight r <= degree
+  r + s + r2 + s2 <= degree, the realization totals cover every class
+  with r + s <= degree, the type D count [q^n] included, and the list
+  counts cover the cells with r + r2 <= degree and the totals at every
+  weight r <= degree
 
 Each class is enumerated and classified once, in one pass, and only its
 summary (size and censuses) is memoised: the members are dropped when the
@@ -32,7 +32,6 @@ the summary with weights (0, n), walked from its tree seed.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache, partial
 from math import comb
 
@@ -41,6 +40,7 @@ from quivercount.classify import classify, is_symmetric
 from quivercount.mutation_class import enumerate_class, seed_cycle, seed_dynkin_d
 from quivercount.series import (
     TruncatedSeries,
+    _cycles,
     _pack,
     _theta_log,
     _unpack,
@@ -51,7 +51,7 @@ from quivercount.series import (
 )
 
 # Below these some family checks nothing: type D starts at rank 4, and the
-# grid's first type D coefficient [q^3] needs 3 + 3 // 2.
+# grid's first 3-cycle cell, [p^2 q x], needs degree 4.
 MIN_N_MAX = 4
 MIN_DEGREE = 4
 
@@ -64,6 +64,17 @@ def _require(cond, msg=""):
     """Fail a check; unlike ``assert``, this still runs under ``python -O``."""
     if not cond:
         raise AssertionError(msg)
+
+
+def _require_coefficients(series, cells):
+    """Fail at the first of ``cells``, pairs of an exponent tuple and a
+    formula value, where the coefficient of ``series`` differs.  A
+    generator keeps the formula values of a large grid out of memory."""
+    for exps, want in cells:
+        got = series.coeffs.get(exps, 0)
+        if got != want:
+            cell = " ".join(f"{v}^{e}" for v, e in zip(series.variables, exps) if e)
+            raise AssertionError(f"[{cell or 1}] = {got}, formula {want}")
 
 
 @cache
@@ -127,7 +138,6 @@ def _parameter_census(r, s):
         expected = counting.derived_class_count(*split)
         got = params.get(split, 0)
         _require(got == expected, f"split {split}: census {got}, formula {expected}")
-    _require(sum(params.values()) == counting.a_tilde(r, s))
 
     # every realization census cell must match the refined count
     for (r1, r2, t1, t2), got in sorted(realizations.items()):
@@ -169,12 +179,6 @@ def _marginalization(r, s):
     _require(total == expected, f"sum {total}, realization count {expected}")
 
 
-def _partition(r, s):
-    total = sum(counting.derived_class_count(*split) for split in _splits(r, s))
-    expected = counting.a_tilde(r, s)
-    _require(total == expected, f"partition sum {total}, class count {expected}")
-
-
 def _series_quadratic(degree):
     variables = ("z", "t")
     a = solve_a_point(degree, variables)
@@ -187,11 +191,8 @@ def _series_quadratic(degree):
 
 def _series_catalan(degree):
     # A(z, 1), solved in z alone, so every stored coefficient is complete
-    a1 = solve_a_point(degree, ("z",))
-    for d in range(degree + 1):
-        expected = Fraction(comb(2 * d + 2, d + 1), d + 2)
-        got = a1.coefficient(z=d)
-        _require(got == expected, f"z^{d}: {got} != {expected}")
+    catalan = (((d,), comb(2 * d + 2, d + 1) // (d + 2)) for d in range(degree + 1))
+    _require_coefficients(solve_a_point(degree, ("z",)), catalan)
 
 
 def _series_substitution(degree):
@@ -252,29 +253,26 @@ def _series_lists(degree):
 
 
 def _series_grid(degree):
-    at = atilde_series(degree)
-    for r in range(1, degree):
-        for s in range(1, degree - r + 1):
-            for r2 in range(r // 2 + 1):
-                for s2 in range(s // 2 + 1):
-                    if r + s + r2 + s2 > degree:
-                        continue
-                    got = at.coefficient(p=r, q=s, x=r2, y=s2)
-                    expected = counting.refined_realization_count(r, r2, s, s2)
-                    _require(
-                        got == expected,
-                        f"[p^{r} q^{s} x^{r2} y^{s2}] = {got}, formula {expected}",
-                    )
-    # all-clockwise cycles specialize to the type D count; the marker
-    # marginal is complete only while n + n//2 fits under the truncation
-    for n in range(3, degree + 1):
-        if n + n // 2 > degree:
-            break
-        got = sum(
-            at.coefficient(q=n, y=s2) for s2 in range(n // 2 + 1)
-        )
-        expected = counting.a_tilde(0, n)
-        _require(got == expected, f"[q^{n}] total {got}, formula {expected}")
+    refined = (
+        ((r, s, r2, s2), counting.refined_realization_count(r, r2, s, s2))
+        for r in range(1, degree)
+        for s in range(1, degree - r + 1)
+        for r2 in range(r // 2 + 1)
+        for s2 in range(s // 2 + 1)
+        if r + s + r2 + s2 <= degree
+    )
+    _require_coefficients(atilde_series(degree), refined)
+
+
+def _series_realization_totals(degree):
+    # with both markers at one, [p^r q^s] counts the realizations of
+    # weights (r, s), and [q^n] the class of the oriented n-cycle
+    totals = {(0, n, 0, 0): counting.a_tilde(0, n) for n in range(3, degree + 1)}
+    for r in range(1, degree + 1):
+        for s in range(degree + 1 - r):
+            if r + s > 2 or (r, s) == (1, 1):
+                totals[r, s, 0, 0] = counting.realization_count(r, s)
+    _require_coefficients(_cycles(b_series_at_unit(degree)), totals.items())
 
 
 def iter_checks(n_max: int, degree: int):
@@ -301,14 +299,13 @@ def iter_checks(n_max: int, degree: int):
     for r in range(1, n_max - 1):
         for s in range(1, n_max - 1):
             checks.append((f"marginalization-{r}-{s}", partial(_marginalization, r, s)))
-    for r, s in weights:
-        checks.append((f"partition-{r}-{s}", partial(_partition, r, s)))
     checks += [
         ("series-quadratic-identity", partial(_series_quadratic, degree)),
         ("series-catalan-specialization", partial(_series_catalan, degree)),
         ("series-substitution-identity", partial(_series_substitution, degree)),
         ("series-derivative-identity", partial(_series_derivative, degree)),
         ("series-coefficient-grid", partial(_series_grid, degree)),
+        ("series-realization-totals", partial(_series_realization_totals, degree)),
         ("series-list-coefficients", partial(_series_lists, degree)),
     ]
     return checks

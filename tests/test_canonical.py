@@ -77,9 +77,11 @@ def test_labeling_matches_the_global_sort_reference(q, data):
     assert canonical_labeling(q, colors) == reference_canonical_labeling(q, colors)
     # the quiver's mutations share rows with it through one memo, and reach
     # larger entries
+    if colors is not None and len(set(colors)) < 2:
+        colors = None  # as canonical_labeling passes a single class
     memo = {}
     for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
-        got = canonical_labeling(x, colors, memo=memo)
+        got = _label_matrix(x.b, colors, memo)[:2]
         assert got == reference_canonical_labeling(x, colors)
 
 
@@ -180,7 +182,7 @@ def test_labeling_matches_the_reference_on_class_members(cycle_class):
             memo = {}
             for q in cycle_class(r, n - r).members.values():
                 for x in [q] + [mutate(q, k) for k in range(n)]:
-                    got = canonical_labeling(x, memo=memo)
+                    got = _label_matrix(x.b, None, memo)[:2]
                     assert got == reference_canonical_labeling(x)
 
 

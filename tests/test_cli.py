@@ -308,8 +308,8 @@ def test_release_check_names_and_order_are_pinned():
     names = [name for name, _ in verify.iter_checks(10, 12)]
     digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
     assert (len(names), digest) == (
-        157,
-        "16593b33081946037ad2826b41710f69da7b76d0754b72a6ca4abfd9a823a82e",
+        133,
+        "c5888c3d6d10fc2a13991dee2f153ebed14110af386249ef81145d20129926ff",
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import (
     all_quivers,
     necklace_count,
-    raise_exponents,
     reference_alphabet,
     reference_atilde_series,
     reference_log_one_over_one_minus,
@@ -153,15 +152,7 @@ def test_a_point_against_brute_force_enumeration(nverts):
 
 def test_cycle_construction_reproduces_necklace_counts():
     deg = 8
-    atoms = mono(deg, p=1) + mono(deg, q=1)
-    total = TruncatedSeries(VARS, deg)
-    for k in range(1, deg + 1):
-        ak = raise_exponents(atoms, k)
-        if not ak.coeffs:
-            break
-        total = total + log_one_over_one_minus(ak) * Fraction(
-            counting.euler_phi(k), k
-        )
+    total = series._cycles(mono(deg, p=1) + mono(deg, q=1))
     for length in range(1, deg + 1):
         for ones in range(length + 1):
             got = total.coefficient(p=ones, q=length - ones)
@@ -199,6 +190,7 @@ def _check(name, degree):
         ("series-catalan-specialization", "solve_a_point", "z"),
         ("series-list-coefficients", "b_series", "p"),
         ("series-list-coefficients", "b_series_at_unit", "p"),
+        ("series-realization-totals", "b_series_at_unit", "p"),
     ],
 )
 def test_series_check_reaches_the_truncation_degree(
@@ -222,6 +214,17 @@ def test_list_check_reaches_the_top_total(monkeypatch):
     message = f"^weight {degree}: {real(degree)}, formula {real(degree) + 1}$"
     with pytest.raises(AssertionError, match=message):
         _check("series-list-coefficients", degree)()
+
+
+def test_realization_totals_reach_the_type_d_count_at_the_top(monkeypatch):
+    degree = 12
+    real = counting.a_tilde
+    monkeypatch.setattr(
+        counting, "a_tilde", lambda r, s: real(r, s) + ((r, s) == (0, degree))
+    )
+    message = rf"^\[q\^{degree}\] = {real(0, degree)}, formula {real(0, degree) + 1}$"
+    with pytest.raises(AssertionError, match=message):
+        _check("series-realization-totals", degree)()
 
 
 def test_list_check_takes_a_fixed_number_of_products(monkeypatch):
