@@ -22,10 +22,10 @@ as one order-preserving integer, ``col[u] + e``, where a vertex's color
 numbers the new cells in the old cell order.  The ranks, and so the key
 bytes and orders, are exactly those of signing every vertex with nested tuples and sorting them all at once.
 Each row's invariants (its nonzero pairs, its sorted entries, which are
-the first-round signature, and its largest entry) depend on the row tuple
-alone.  Mutation shares every row away from the mutated vertex, so the
-enumerator keeps them across its labelings in one ``memo`` dict, which
-lives as long as its walk; each public call makes its own.  A labeling
+the first-round signature, and its largest entry) depend on the row value
+alone, so they are kept by row id in a :class:`RowTable`.  Mutation
+shares every row away from the mutated vertex, so the enumerator keeps one
+table for its whole walk; each public call makes its own.  A labeling
 reads it in one pass over the rows, which also gives the first round:
 without colors, the first partition groups the rows by their sorted
 entries.  One split loop then refines colored and uncolored partitions
@@ -38,9 +38,9 @@ each position's cell rank.
 canonical matrix.  Two quivers with equal keys are therefore matched by the
 isomorphism ``order_1[p] -> order_2[p]``, which the enumerator uses to carry
 what it knows about one to the other.  Both public functions check their
-arguments and call one core on the bare matrix, ``_label_matrix``, which
-also returns the matrix's largest entry, read from the memo to size the
-codes.  The enumerator calls that core directly: it labels matrices it
+arguments and call one core on a tuple of row ids, ``_label_matrix``,
+which also returns the matrix's largest entry, read from the table to size
+the codes.  The enumerator calls that core directly: it labels matrices it
 has not wrapped as quivers, and checks its multiplicity cap on that entry.
 """
 
@@ -51,6 +51,37 @@ from functools import lru_cache
 from typing import Sequence
 
 from quivercount.quiver import ExchangeQuiver
+
+
+class RowTable:
+    """Distinct matrix rows, each with a small integer id.
+
+    A matrix is then a tuple of ids, and ``rows[i]`` is the one tuple that
+    holds row value ``i``, so matrices rebuilt from ids share their rows.
+    ``info[i]`` is None until :func:`_label_matrix` reads row i, and then
+    holds the row's invariants.
+    """
+
+    __slots__ = ("ids", "rows", "info")
+
+    def __init__(self) -> None:
+        self.ids = {}
+        self.rows = []
+        self.info = []
+
+    def intern(self, row: tuple[int, ...]) -> int:
+        """The id of ``row``'s value, given to it now if it is new."""
+        i = self.ids.get(row)
+        if i is None:
+            i = self.ids[row] = len(self.rows)
+            self.rows.append(row)
+            self.info.append(None)
+        return i
+
+    def matrix(self, ids) -> tuple[tuple[int, ...], ...]:
+        """The matrix whose rows have ``ids``, built from the shared tuples."""
+        rows = self.rows
+        return tuple([rows[i] for i in ids])
 
 
 def _refine(
@@ -222,31 +253,35 @@ def canonical_labeling(
         if len(classes) != q.n:
             raise ValueError("colors must assign one class per vertex")
         colors = classes if len(set(classes)) > 1 else None
-    key, order, _ = _label_matrix(q.b, colors, {})
+    table = RowTable()
+    key, order, _ = _label_matrix(tuple(map(table.intern, q.b)), colors, table)
     return key, order
 
 
-def _label_matrix(b, colors, memo: dict):
-    """``(key, order, big)`` for the exchange matrix ``b``, taken as valid.
+def _label_matrix(ids, colors, table: RowTable):
+    """``(key, order, big)`` for the exchange matrix with row ids ``ids``.
 
-    The one labeling behind :func:`canonical_labeling`, on a bare matrix:
-    ``colors`` is None or a list of integers with at least two classes,
-    and ``memo`` maps a row tuple to its nonzero ``(u, e)`` pairs, its
-    sorted nonzero entries and its largest ``|e|``; this call fills it, and
-    it never changes a result.  ``big`` is the largest ``|entry|`` of
-    ``b``, read from the memo to size the codes.
+    The one labeling behind :func:`canonical_labeling`, on a matrix taken
+    as valid: ``ids`` are ids of ``table``, whose ``rows`` give the matrix,
+    and ``colors`` is None or a list of integers with at least two classes.
+    This call fills ``table.info`` for the rows it reads, with each row's
+    nonzero ``(u, e)`` pairs, sorted nonzero entries and largest ``|e|``;
+    that never changes a result.  ``big`` is the largest ``|entry|`` of the
+    matrix, read from those entries to size the codes.
     """
-    n = len(b)
+    n = len(ids)
+    rows = table.rows
+    infos = table.info
     adj = []
     first = []
     big = 0
-    for row in b:
-        info = memo.get(row)
+    for i in ids:
+        info = infos[i]
         if info is None:
-            nbrs = [(u, e) for u, e in enumerate(row) if e]
+            nbrs = [(u, e) for u, e in enumerate(rows[i]) if e]
             entries = sorted([e for _, e in nbrs])
             m = max(-entries[0], entries[-1]) if entries else 0
-            info = memo[row] = (nbrs, tuple(entries), m)
+            info = infos[i] = (nbrs, tuple(entries), m)
         adj.append(info[0])
         first.append(info[1])
         if info[2] > big:
@@ -267,7 +302,8 @@ def _label_matrix(b, colors, memo: dict):
             cells.append((start, cell))
         start += len(cell) * width
     cells = _refine(adj, col, cells, width)
-    if not cells or all(b[v] == b[cell[0]] for _, cell in cells for v in cell):
+    b = [rows[i] for i in ids]
+    if not cells or all(ids[v] == ids[cell[0]] for _, cell in cells for v in cell):
         # settled: no cell is open, or only cells of twins, which the
         # search's one leaf takes in vertex order
         order = sorted(range(n), key=col.__getitem__)

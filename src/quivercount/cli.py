@@ -34,7 +34,7 @@ TABLE_N_MAX = 500
 # takes about 1.5 s for a 598-digit answer
 COUNT_WEIGHT_MAX = 1000
 # the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
-# D_13 takes about 72 s and 305 MB, and D_n grows about 3.5x per rank
+# D_13 takes about 68 s and 256 MB, and D_n grows about 3.5x per rank
 RANK_MAX = 13
 # verify --n-max 4 --degree 40 takes 1.0 to 1.3 s, about 1.4x per 4 degrees
 DEGREE_MAX = 40
@@ -158,9 +158,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _refuse_unwritable(path) -> None:
-    """Raise OSError, creating nothing, when no file can be written at ``path``."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+    """Raise OSError, creating nothing, when no file can be written at ``path``.
+
+    A symlink is judged by what it resolves to: an existing target must be
+    a writable file, and writing through a dangling link makes its target,
+    so the target's directory must be writable.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target):
+        writable = not os.path.isdir(target) and os.access(target, os.W_OK)
+    else:
+        parent = os.path.dirname(target)
+        writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not writable:
         raise OSError(f"cannot write a file at {path}")
 
 

@@ -45,30 +45,29 @@ result is a known member, which is within the cap.
   is some stored member's row at k, and the walk collects those rows as
   members are stored.
 
-The walk keeps one table for the second, third and fifth shortcuts:
-``waiting`` maps the matrix of each member that is queued or being
-expanded to its record (quiver, depth, canonical order, vertices it is not
-to be mutated at), and a member leaves it when its expansion ends.  The
-queue holds those same records, so a member is dequeued without a lookup.
-Each lookup in the table only skips a labeling.  A mutation that leads
-back to a member already expanded misses the table and is labeled; the
-labeling finds that member, whose expansion is over, and changes nothing.
-So forgetting expanded members moves no member, order, depth or
-representative.
+Each walk keeps one row table (``canonical.RowTable``), which gives every
+distinct row value a small integer id and the row invariants that every
+labeling of the walk reads, and runs on tuples of ids.  Stored members
+hold the table's tuples, so a class keeps one tuple per row value.
+Mutation at k maps each neighbour's row id to its mutated row's id through
+a cache kept with row k's id in ``splits[k]``, and ``at`` maps the id of
+each row that a stored member holds to a bitmask of the vertices where it
+does: the filter of the second and fifth shortcuts.  A swapped row that
+the table lacks is no stored member's row, so the pentagon lookup only
+looks its swapped rows up and interns none.
 
-Members share their rows: ``rows_at[v]`` maps each row that a stored
-member has at v to the one tuple that holds it, and a new member is stored
-with those tuples in place of its own.  The pentagon lookup's row filter
-reads the same table.
-
-The canonical labelings of one walk share a memo of row invariants, since
-mutation shares every row away from the mutated vertex; the memo goes with
-the walk.  Mutation at k reads row k only through its split (the negated
-row and the arrows into and out of k), so ``splits[v]`` keeps the split of
-each row met at v, with that row's nonzero pairs from the memo: a vertex's
-row is mostly one of a few stored rows.  The walk labels bare matrices, and
-wraps a mutated matrix as a quiver only when it stores it as a member or
-reports it over the cap.
+Each member that is queued or being expanded has a record: its ids, key,
+depth, canonical order packed in a string, and a bitmask of the vertices
+it is not to be mutated at.  ``waiting`` maps its ids to the record, and
+``members`` its key; when its expansion ends, it leaves ``waiting`` and
+``members`` maps its key to its quiver.  The queue holds those same
+records, so a member is dequeued without a lookup.  Each lookup only
+skips a labeling.  A mutation that leads back to a member already
+expanded misses ``waiting`` and is labeled; the labeling finds that
+member, whose expansion is over, and changes nothing.  So forgetting
+expanded members moves no member, order, depth or representative.  The
+walk wraps a matrix as a quiver only when a member's expansion ends or
+when it reports it over the cap.
 """
 
 from __future__ import annotations
@@ -79,17 +78,16 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
-from quivercount.canonical import _label_matrix, canonical_key
+from quivercount.canonical import RowTable, _label_matrix, canonical_key
 from quivercount.quiver import (
     ExchangeQuiver,
-    _mutated,
-    _split,
+    _mutated_row,
     max_multiplicity,
     underlying_graph_connected,
     write_quiver,
 )
 
-# Unused here, since the walk mutates through _mutated, but kept as a name
+# Unused here, since the walk mutates row ids, but kept as a name
 # of this module: perfbench's tracing hooks patch it here.
 from quivercount.quiver import mutate  # noqa: F401
 
@@ -153,64 +151,91 @@ def enumerate_class(
     m0 = max_multiplicity(seed)
     if m0 > multiplicity_cap:
         raise CapExceeded(m0, multiplicity_cap, 0, seed)
-    memo: dict = {}  # row invariants for the labelings
-    key0, order0, _ = _label_matrix(seed.b, None, memo)
-    members = {key0: seed}
-    depths = {key0: 0}
-    # members queued or being expanded, by matrix; the queue holds the same
-    # records: matrix -> (quiver, depth, canonical order, vertices not to mutate)
-    waiting = {seed.b: (seed, 0, order0, set())}
-    # rows_at[v]: stored members' rows at v, each the one copy they share
-    rows_at = [{row: row} for row in seed.b]
-    # splits[v]: _split of each row met at v, with that row's nonzero pairs
-    # from the memo; a vertex's row is mostly one of a few stored rows
+    table = RowTable()
+    # row id -> bitmask of the vertices where a stored member holds it
+    at = {}
+    # splits[k]: row id at k -> (id of the row negated, its nonzero pairs,
+    # a cache from each neighbour's row id to its id after mutation at k)
     splits = [{} for _ in seed.b]
-    queue = deque(waiting.values())
+    # members[key] is the member's record while it is queued or being
+    # expanded, then its quiver; the queue and ``waiting``, by row ids,
+    # hold the same records: [ids, key, depth, order, skip mask]
+    members = {}
+    depths = {}
+    waiting = {}
+    queue = deque()
+
+    def store(t, key, depth, order, skip):
+        depths[key] = depth
+        for v, i in enumerate(t):
+            at[i] = at.get(i, 0) | 1 << v
+        # the order packed as chr(v), one or two bytes a vertex
+        record = [t, key, depth, "".join(map(chr, order)), skip]
+        waiting[t] = members[key] = record
+        queue.append(record)
+
+    t0 = tuple(map(table.intern, seed.b))
+    key0, order0, _ = _label_matrix(t0, None, table)
+    store(t0, key0, 0, order0, 0)
     while queue:
-        # kept waiting while q is expanded: mu_k(q) ~ q may add a later vertex
-        q, d, _, skip = queue.popleft()
-        b = q.b
-        for k in range(q.n):
-            if k in skip:
+        # kept waiting while expanded: mu_k(q) ~ q may add a later vertex
+        record = queue.popleft()
+        t, key, d = record[0], record[1], record[2]
+        for k in range(len(t)):
+            if record[4] >> k & 1:
                 continue  # this mutation gives back a known member
-            row = b[k]
-            split = splits[k].get(row)
-            if split is None:
-                # q was labeled through the memo, so its rows are there
-                split = splits[k][row] = (*_split(row), memo[row][0])
-            b2 = _mutated(b, k, split)
+            t2 = _mutated_ids(t, k, table, splits[k])
+            neg, nbrs, _ = splits[k][t[k]]
             # a waiting member's row at k is a stored row at k
-            if split[0] in rows_at[k]:
-                entry = waiting.get(b2)
+            if at.get(neg, 0) >> k & 1:
+                entry = waiting.get(t2)
                 if entry is not None:
-                    entry[3].add(k)  # sigma is the identity
+                    entry[4] |= 1 << k  # sigma is the identity
                     continue
             # k has the same neighbours before and after the mutation
-            hit = _swapped_member(b2, k, split[3], rows_at[k], waiting)
+            hit = _swapped_member(t2, k, nbrs, table, at, waiting)
             if hit is not None:
                 entry, u = hit
-                entry[3].add(u)  # sigma swaps k and u
+                entry[4] |= 1 << u  # sigma swaps k and u
                 continue
-            # m is b2's largest entry: see the fourth shortcut
-            key2, order2, m = _label_matrix(b2, None, memo)
+            # m is the largest entry: see the fourth shortcut
+            key2, order2, m = _label_matrix(t2, None, table)
             if m > multiplicity_cap:
-                raise CapExceeded(
-                    m, multiplicity_cap, d + 1, ExchangeQuiver._trusted(b2)
-                )
-            if key2 not in members:
-                # store b2 with the rows that stored members already hold
-                b2 = tuple(at.setdefault(r, r) for at, r in zip(rows_at, b2))
-                q2 = ExchangeQuiver._trusted(b2)
-                members[key2] = q2
-                depths[key2] = d + 1
-                waiting[b2] = record = (q2, d + 1, order2, {k})
-                queue.append(record)
-                continue
-            entry = waiting.get(members[key2].b)
-            if entry is not None:
-                entry[3].add(entry[2][order2.index(k)])  # sigma(k)
-        del waiting[b]
+                over = ExchangeQuiver._trusted(table.matrix(t2))
+                raise CapExceeded(m, multiplicity_cap, d + 1, over)
+            entry = members.get(key2)
+            if entry is None:
+                store(t2, key2, d + 1, order2, 1 << k)
+            elif entry.__class__ is list:
+                entry[4] |= 1 << ord(entry[3][order2.index(k)])  # sigma(k)
+        del waiting[t]
+        members[key] = ExchangeQuiver._trusted(table.matrix(t))
     return MutationClass(members, depths)
+
+
+def _mutated_ids(t, k: int, table: RowTable, splits_k: dict):
+    """The row ids of matrix ``t`` mutated at k; every row away from k and
+    its neighbours keeps its id.
+
+    Once this has run, ``splits_k[t[k]]`` holds the id of row k negated,
+    row k's nonzero ``(u, e)`` pairs, and a cache from the id of each
+    neighbour's row to the id of that row after the mutation.
+    """
+    i = t[k]
+    row_split = splits_k.get(i)
+    if row_split is None:
+        # t was labeled, so its rows' info is there
+        neg = table.intern(tuple([-x for x in table.rows[i]]))
+        row_split = splits_k[i] = (neg, table.info[i][0], {})
+    neg, nbrs, moved = row_split
+    t2 = list(t)
+    t2[k] = neg
+    for u, _ in nbrs:
+        j = moved.get(t[u])
+        if j is None:
+            j = moved[t[u]] = table.intern(_mutated_row(table.rows[t[u]], k, nbrs))
+        t2[u] = j
+    return tuple(t2)
 
 
 def _swapped(row, k: int, u: int):
@@ -220,26 +245,40 @@ def _swapped(row, k: int, u: int):
     return tuple(row)
 
 
-def _swapped_member(b, k: int, nbrs, rows_at_k: dict, waiting: dict):
-    """``(entry, u)`` for a waiting member equal to ``b`` with k and u swapped.
+def _swapped_member(t, k: int, nbrs, table: RowTable, at: dict, waiting: dict):
+    """``(entry, u)`` for a waiting member equal to ``t`` with k and u swapped.
 
-    ``entry`` is that member's value in ``waiting``.  ``u`` runs over the
-    neighbours of k, given as ``nbrs``, the memo's nonzero ``(u, e)`` pairs
-    of row k.  Row k of the swapped matrix is row u of ``b`` with entries k
-    and u exchanged, so the whole matrix is built only when that row is
-    some stored member's row at k, per ``rows_at_k``.  Returns None when no
-    swap gives a waiting member.
+    ``t`` holds row ids of ``table``, and ``entry`` is that member's value
+    in ``waiting``.  ``u`` runs over the neighbours of k, given as ``nbrs``,
+    the nonzero ``(u, e)`` pairs of row k.  Row k of the swapped matrix is
+    row u of ``t`` with entries k and u exchanged, so the whole matrix is
+    built only when that row is some stored member's row at k, per ``at``.
+    A waiting member's rows are all in the table, so a swapped row that the
+    table lacks ends the lookup for that u.  Returns None when no swap gives
+    a waiting member.
     """
+    rows = table.rows
+    ids = table.ids
+    row_k = rows[t[k]]
     for u, _ in nbrs:
-        if _swapped(b[u], k, u) not in rows_at_k:
+        row_u = rows[t[u]]
+        j = ids.get(_swapped(row_u, k, u))
+        if j is None or not at.get(j, 0) >> k & 1:
             continue
-        # swap columns k and u, sharing the rows whose entries there agree,
-        # then rows k and u
-        rows = [row if row[k] == row[u] else _swapped(row, k, u) for row in b]
-        rows[k], rows[u] = rows[u], rows[k]
-        entry = waiting.get(tuple(rows))
-        if entry is not None:
-            return entry, u
+        # swap columns k and u, then rows k and u; by skew symmetry the rows
+        # whose entries k and u differ are at the v where rows k and u differ
+        t2 = list(t)
+        for v, x in enumerate(row_k):
+            if x != row_u[v]:
+                j = ids.get(_swapped(rows[t[v]], k, u))
+                if j is None:
+                    break
+                t2[v] = j
+        else:
+            t2[k], t2[u] = t2[u], t2[k]
+            entry = waiting.get(tuple(t2))
+            if entry is not None:
+                return entry, u
     return None
 
 

@@ -114,54 +114,37 @@ def mutate(q: ExchangeQuiver, k: int) -> ExchangeQuiver:
     n = q.n
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for a quiver on {n} vertices")
-    return ExchangeQuiver._trusted(_mutated(q.b, k, _split(q.b[k])))
-
-
-def _split(row):
-    """``(negated row, in-pairs, out-pairs)`` of ``row``, the row at k.
-
-    The in-pairs are the ``(i, a)`` with ``a`` arrows i -> k, the out-pairs
-    the ``(j, c)`` with ``c`` arrows k -> j.  This is all that mutation at
-    k reads of row k, so a caller mutating many matrices that share a row
-    there can split it once.
-    """
-    ins = []
-    outs = []
-    for i, x in enumerate(row):
-        if x < 0:
-            ins.append((i, -x))
-        elif x:
-            outs.append((i, x))
-    # a tuple built from a list is sized exactly; one built from an iterator
-    # keeps spare slots, and the walk's memo and members keep these rows
-    return tuple([-x for x in row]), ins, outs
-
-
-def _mutated(b, k: int, split):
-    """The matrix ``b`` mutated at ``k``, given ``split``, ``_split(b[k])``.
-
-    Only fields 0 to 2 of ``split`` are read, so a caller may keep more
-    after them.  Every row away from k and its neighbours is ``b``'s own
-    tuple, shared.
-    """
-    # only two-paths i -> k -> j change entries off row and column k
+    b = q.b
+    nbrs = [(u, e) for u, e in enumerate(b[k]) if e]
     rows = list(b)
-    rows[k] = split[0]
-    ins = split[1]
-    outs = split[2]
-    for i, a in ins:
-        row = list(b[i])
-        row[k] = -a
-        for j, c in outs:
-            row[j] += a * c
-        rows[i] = tuple(row)
-    for j, c in outs:
-        row = list(b[j])
-        row[k] = c
-        for i, a in ins:
-            row[i] -= a * c
-        rows[j] = tuple(row)
-    return tuple(rows)
+    rows[k] = tuple([-x for x in b[k]])
+    for u, _ in nbrs:
+        rows[u] = _mutated_row(b[u], k, nbrs)
+    return ExchangeQuiver._trusted(tuple(rows))
+
+
+def _mutated_row(row, k: int, nbrs):
+    """Row ``row`` of a neighbour of ``k`` after mutation at ``k``.
+
+    ``nbrs`` lists the ``(j, y)`` pairs of row k with ``y`` nonzero.  With
+    ``x = row[k]``, entry k becomes ``-x`` and every entry j where y has the
+    sign of x gains ``|x| * y``: the two-paths through k.  Rows away from k
+    and its neighbours do not change, and row k only changes sign.
+    """
+    x = row[k]
+    out = list(row)
+    out[k] = -x
+    if x > 0:
+        for j, y in nbrs:
+            if y > 0:
+                out[j] += x * y
+    else:
+        for j, y in nbrs:
+            if y < 0:
+                out[j] -= x * y
+    # a tuple built from a list is sized exactly; one built from an iterator
+    # keeps spare slots, and a walk's members keep these rows
+    return tuple(out)
 
 
 def underlying_graph_connected(q: ExchangeQuiver) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_isomorphic, reference_canonical_labeling, relabel
 from quivercount import canonical
 from quivercount.canonical import (
+    RowTable,
     _label_matrix,
     _min_labeling,
     _refine,
@@ -17,6 +18,12 @@ from quivercount.canonical import (
 from quivercount.mutation_class import seed_cycle, seed_dynkin_d
 from quivercount.quiver import ExchangeQuiver, max_multiplicity, mutate
 from test_quiver import quivers
+
+
+def _label(q, colors, table):
+    """The labeling core on ``q``, its rows interned in ``table``."""
+    return _label_matrix(tuple(map(table.intern, q.b)), colors, table)
+
 
 # Key bytes appear in `enumerate --json`, so they are pinned literally.
 PINNED_KEYS = [
@@ -75,34 +82,34 @@ def test_labeling_matches_the_global_sort_reference(q, data):
         st.none() | st.lists(st.integers(-1, 3), min_size=q.n, max_size=q.n)
     )
     assert canonical_labeling(q, colors) == reference_canonical_labeling(q, colors)
-    # the quiver's mutations share rows with it through one memo, and reach
-    # larger entries
+    # the quiver's mutations share rows with it through one row table, and
+    # reach larger entries
     if colors is not None and len(set(colors)) < 2:
         colors = None  # as canonical_labeling passes a single class
-    memo = {}
+    table = RowTable()
     for x in [q] + [mutate(q, k) for k in range(q.n)] + [q]:
-        got = _label_matrix(x.b, colors, memo)[:2]
+        got = _label(x, colors, table)[:2]
         assert got == reference_canonical_labeling(x, colors)
 
 
-# filled across the examples of the test below, as a walk fills its memo
-_SHARED_MEMO: dict = {}
+# filled across the examples of the test below, as a walk fills its table
+_SHARED_TABLE = RowTable()
 
 
 @given(quivers(max_n=8, max_mult=150), st.data())
 @settings(max_examples=200, deadline=None)
 def test_label_matrix_returns_the_largest_entry(q, data):
     # the walk checks the cap on the core's largest entry, so it must be the
-    # quiver's, past the key text table too, from a fresh memo or from one
-    # that other quivers filled
+    # quiver's, past the key text table too, from a fresh row table or from
+    # one that other quivers filled
     colors = data.draw(
         st.none() | st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)
     )
     if colors is not None and len(set(colors)) < 2:
         colors = None  # as canonical_labeling passes a single class
     want = reference_canonical_labeling(q, colors)
-    for memo in ({}, _SHARED_MEMO):
-        key, order, big = _label_matrix(q.b, colors, memo)
+    for table in (RowTable(), _SHARED_TABLE):
+        key, order, big = _label(q, colors, table)
         assert big == max_multiplicity(q)
         assert (key, order) == want
 
@@ -176,13 +183,13 @@ def test_key_text_of_large_entries_matches_the_reference(big):
 
 def test_labeling_matches_the_reference_on_class_members(cycle_class):
     # every member of each annular class with r+s <= 8 and each of its
-    # one-step mutations, one memo per class as the enumerator keeps it
+    # one-step mutations, one row table per class as the enumerator keeps it
     for n in range(2, 9):
         for r in range(1, n // 2 + 1):
-            memo = {}
+            table = RowTable()
             for q in cycle_class(r, n - r).members.values():
                 for x in [q] + [mutate(q, k) for k in range(n)]:
-                    got = _label_matrix(x.b, None, memo)[:2]
+                    got = _label(x, None, table)[:2]
                     assert got == reference_canonical_labeling(x)
 
 

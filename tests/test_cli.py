@@ -175,6 +175,48 @@ def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_pat
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
+def test_enumerate_refuses_a_json_link_it_cannot_write_through(
+    capsys, monkeypatch, tmp_path
+):
+    # a dangling link whose target's directory is missing: the check reads
+    # the resolved target, before the walk
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "absent" / "members.json")
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a class whose dump is refused")
+
+    monkeypatch.setattr(cli, "enumerate_class", no_walk)
+    assert run(["enumerate", "--dynkin-d", "9", "--json", str(link)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write a file at {link}\n"
+    assert not (tmp_path / "absent").exists()
+
+
+def test_enumerate_writes_through_a_link_to_a_writable_file(
+    capsys, monkeypatch, tmp_path
+):
+    # the link's target exists and can be written, though its directory
+    # cannot: open(path, "w") writes through the link, so it is accepted
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    target = locked / "members.json"
+    target.write_text("")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    access = os.access
+    locked_path = os.path.realpath(locked)
+
+    def read_only_dir(path, mode):
+        if os.path.realpath(path) == locked_path and mode & os.W_OK:
+            return False
+        return access(path, mode)
+
+    monkeypatch.setattr(os, "access", read_only_dir)
+    assert run(["enumerate", "--cycle", "2", "3", "--json", str(link)]) == 0
+    assert capsys.readouterr().out.strip() == "12"
+    assert len(json.loads(target.read_text())) == 12
+
+
 @pytest.mark.parametrize(
     "seed",
     [

@@ -127,19 +127,19 @@ def test_cap_parity_on_a_seeded_sample(monkeypatch):
     # or finish with the same members, and it never mutates more
     calls = {"reference": 0, "walk": 0}
     arrow_list = oracles.mutate_arrow_list
-    mutated = mutation_class._mutated
+    mutated = mutation_class._mutated_ids
 
     def counting_arrow_list(q, k):
         calls["reference"] += 1
         return arrow_list(q, k)
 
-    def bounded_mutated(b, k, split):
+    def bounded_mutated(t, k, table, splits_k):
         calls["walk"] += 1
         assert calls["walk"] <= calls["reference"], "walked past the reference"
-        return mutated(b, k, split)
+        return mutated(t, k, table, splits_k)
 
     monkeypatch.setattr(oracles, "mutate_arrow_list", counting_arrow_list)
-    monkeypatch.setattr(mutation_class, "_mutated", bounded_mutated)
+    monkeypatch.setattr(mutation_class, "_mutated_ids", bounded_mutated)
     rng = random.Random(2009)
     outcomes = {"raised": 0, "finished": 0}
     seeds = 0
@@ -212,7 +212,7 @@ def test_enumeration_matches_reference_bfs(seed):
 
 
 # sha-256 of the class's JSON dump, then the walk's mutations (its
-# _mutated calls) and labelings (its _label_matrix calls); a change to the walk's
+# _mutated_ids calls) and labelings (its _label_matrix calls); a change to the walk's
 # shortcuts that moves a count updates it here and says why.  The exact-
 # repeat lookup runs only when the mutated row at k is a stored row there;
 # a gate that hid a hit would raise a labeling count
@@ -253,18 +253,18 @@ PINNED_WALKS = {
 )
 def test_walk_output_and_call_counts_are_pinned(monkeypatch, seed, pin):
     calls = {"mutate": 0, "label": 0}
-    mutated = mutation_class._mutated
+    mutated = mutation_class._mutated_ids
     labeling = mutation_class._label_matrix
 
-    def counting_mutated(b, k, split):
+    def counting_mutated(t, k, table, splits_k):
         calls["mutate"] += 1
-        return mutated(b, k, split)
+        return mutated(t, k, table, splits_k)
 
-    def counting_labeling(b, colors, memo):
+    def counting_labeling(t, colors, table):
         calls["label"] += 1
-        return labeling(b, colors, memo)
+        return labeling(t, colors, table)
 
-    monkeypatch.setattr(mutation_class, "_mutated", counting_mutated)
+    monkeypatch.setattr(mutation_class, "_mutated_ids", counting_mutated)
     monkeypatch.setattr(mutation_class, "_label_matrix", counting_labeling)
     dump = json.dumps(class_to_json(enumerate_class(seed)), sort_keys=True)
     digest = hashlib.sha256(dump.encode("ascii")).hexdigest()
@@ -276,14 +276,14 @@ def test_walk_skips_edges_back_to_known_members(monkeypatch):
     # and every other member at all but one; edges that lead back to a known
     # member by a non-identity isomorphism must be skipped as well
     calls = 0
-    mutated = mutation_class._mutated
+    mutated = mutation_class._mutated_ids
 
-    def counting_mutated(b, k, split):
+    def counting_mutated(t, k, table, splits_k):
         nonlocal calls
         calls += 1
-        return mutated(b, k, split)
+        return mutated(t, k, table, splits_k)
 
-    monkeypatch.setattr(mutation_class, "_mutated", counting_mutated)
+    monkeypatch.setattr(mutation_class, "_mutated_ids", counting_mutated)
     mc = enumerate_class(seed_cycle(3, 4))
     n = 7
     assert calls < n + (mc.size - 1) * (n - 1)
@@ -296,10 +296,10 @@ def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
     calls = 0
     labeling = mutation_class._label_matrix
 
-    def counting_labeling(b, colors, memo):
+    def counting_labeling(t, colors, table):
         nonlocal calls
         calls += 1
-        return labeling(b, colors, memo)
+        return labeling(t, colors, table)
 
     monkeypatch.setattr(mutation_class, "_label_matrix", counting_labeling)
     seed = seed_cycle(4, 5)
@@ -314,11 +314,11 @@ def test_swapped_matrix_lookup_only_saves_labelings(monkeypatch):
 
 @pytest.mark.parametrize("seed", [seed_dynkin_d(8), seed_cycle(3, 5)])
 def test_members_share_each_row_value(seed):
-    # members that agree on a row at a vertex hold one tuple for it, so the
-    # class keeps one copy of each row value at each vertex
+    # members hold the walk's one tuple for each row value, wherever the
+    # value stands, so the class keeps one copy of each row value
     mc = enumerate_class(seed)
-    rows = [(v, row) for q in mc.members.values() for v, row in enumerate(q.b)]
-    assert len({id(row) for _, row in rows}) == len(set(rows))
+    rows = [row for q in mc.members.values() for row in q.b]
+    assert len({id(row) for row in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize("seed", list(_reference_seeds()))
@@ -328,13 +328,13 @@ def test_every_skipped_mutation_gives_an_expanded_member(monkeypatch, seed):
     # mutation there leads back to P; so each vertex an expansion leaves
     # out must give a member expanded no later than this one
     tried = {}  # matrix -> the vertices its expansion mutated
-    mutated = mutation_class._mutated
+    mutated = mutation_class._mutated_ids
 
-    def recording_mutated(b, k, split):
-        tried.setdefault(b, set()).add(k)
-        return mutated(b, k, split)
+    def recording_mutated(t, k, table, splits_k):
+        tried.setdefault(table.matrix(t), set()).add(k)
+        return mutated(t, k, table, splits_k)
 
-    monkeypatch.setattr(mutation_class, "_mutated", recording_mutated)
+    monkeypatch.setattr(mutation_class, "_mutated_ids", recording_mutated)
     mc = enumerate_class(seed)
     expanded = set()
     for key, q in mc.members.items():
