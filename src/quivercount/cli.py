@@ -7,6 +7,7 @@ Exit codes are part of the interface: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import sys
@@ -15,14 +16,11 @@ from quivercount import counting
 from quivercount.classify import classify, is_symmetric
 from quivercount.mutation_class import (
     CapExceeded,
-    _refuse_member_files,
     enumerate_class,
     seed_cycle,
     seed_dynkin_d,
-    write_class_dir,
-    write_class_json,
 )
-from quivercount.quiver import QuiverFormatError, read_quiver
+from quivercount.quiver import QuiverFormatError, read_quiver, write_quiver
 from quivercount.verify import run_verification
 
 USAGE_ERROR = 2
@@ -34,7 +32,9 @@ TABLE_N_MAX = 500
 # takes about 1.5 s for a 598-digit answer
 COUNT_WEIGHT_MAX = 1000
 # the rank of verify --n-max, enumerate --dynkin-d, --cycle R + S and --seed:
-# D_13 takes about 68 s and 256 MB, and D_n grows about 3.5x per rank
+# D_13 takes about 68 s and 256 MB, and D_n grows about 3.5x per rank; the
+# dumps write one member at a time, so neither raises the peak: --json at
+# D_12 writes 171 MB, adding about 7 to 11 s, and at D_13 704 MB
 RANK_MAX = 13
 # verify --n-max 4 --degree 40 takes 1.0 to 1.3 s, about 1.4x per 4 degrees
 DEGREE_MAX = 40
@@ -141,15 +141,14 @@ def _cmd_enumerate(args) -> int:
         _at_most("enumerate --seed vertices", seed.n, RANK_MAX)
     # the walk can take minutes, so a dump that cannot be written is refused first
     if args.out:
-        _refuse_uncreatable(args.out)
-        _refuse_member_files(args.out)
+        _refuse_dump_dir(args.out)
     if args.json:
         _refuse_unwritable(args.json)
     mc = enumerate_class(seed, multiplicity_cap=args.cap)
     if args.out:
-        write_class_dir(mc, args.out)
+        _write_class_dir(mc, args.out)
     if args.json:
-        write_class_json(mc, args.json)
+        _write_class_json(mc, args.json)
     if args.format == "json":
         print(json.dumps({"size": mc.size}))
     else:
@@ -174,14 +173,48 @@ def _refuse_unwritable(path) -> None:
         raise OSError(f"cannot write a file at {path}")
 
 
-def _refuse_uncreatable(path) -> None:
-    """Raise OSError, creating nothing, when no directory can be made at
-    ``path``: its nearest existing ancestor is not a writable directory."""
+def _refuse_dump_dir(path) -> None:
+    """Raise, creating nothing, when ``path`` cannot take member files: OSError
+    when its nearest existing ancestor is not a writable directory, ValueError
+    when it holds member files, as a dump over another class's would mix the two."""
     ancestor = os.path.abspath(path)
     while not os.path.lexists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK)):
         raise OSError(f"cannot make a directory at {path}")
+    if os.path.exists(path) and fnmatch.filter(os.listdir(path), "member-*.quiver"):
+        raise ValueError(f"{path} already holds member-*.quiver files")
+
+
+def _write_class_dir(mc, path) -> None:
+    """One quiver file per member, numbered in canonical key order."""
+    os.makedirs(path, exist_ok=True)
+    # checked again: another process may have written members during the walk
+    _refuse_dump_dir(path)
+    for idx, key in enumerate(mc.keys()):
+        header = f"key {key.hex()}\ndepth {mc.depths[key]}"
+        write_quiver(
+            mc.members[key],
+            os.path.join(path, f"member-{idx:05d}.quiver"),
+            header=header,
+        )
+
+
+def _write_class_json(mc, path) -> None:
+    """The members as a JSON array of key, matrix and BFS depth, key-sorted.
+
+    Each entry is written as it is reached, so the dump holds no more than
+    one at a time; the bytes are those of ``json.dump`` of the whole list
+    at ``indent=1``, with a final newline.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        sep = "[\n"
+        for key in mc.keys():
+            b, depth = mc.members[key].b, mc.depths[key]
+            text = json.dumps({"key": key.hex(), "matrix": b, "depth": depth}, indent=1)
+            fh.write(sep + " " + text.replace("\n", "\n "))
+            sep = ",\n"
+        fh.write("\n]\n")
 
 
 def _cmd_classify(args) -> int:

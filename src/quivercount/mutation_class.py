@@ -72,9 +72,6 @@ when it reports it over the cap.
 
 from __future__ import annotations
 
-import fnmatch
-import json
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -84,7 +81,6 @@ from quivercount.quiver import (
     _mutated_row,
     max_multiplicity,
     underlying_graph_connected,
-    write_quiver,
 )
 
 # Unused here, since the walk mutates row ids, but kept as a name
@@ -314,44 +310,3 @@ def seed_dynkin_d(n: int) -> ExchangeQuiver:
     arrows = [(0, 2), (1, 2)]
     arrows += [(i, i + 1) for i in range(2, n - 1)]
     return ExchangeQuiver.from_arrows(n, arrows)
-
-
-def class_to_json(mc: MutationClass) -> list[dict]:
-    """JSON-ready member list: key, matrix and BFS discovery depth, key-sorted."""
-    return [
-        {
-            "key": k.hex(),
-            "matrix": [list(row) for row in mc.members[k].b],
-            "depth": mc.depths[k],
-        }
-        for k in mc.keys()
-    ]
-
-
-def write_class_json(mc: MutationClass, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(class_to_json(mc), fh, indent=1)
-        fh.write("\n")
-
-
-def _refuse_member_files(path) -> None:
-    """Raise ValueError when ``path`` holds member files; a missing path passes."""
-    if os.path.exists(path) and fnmatch.filter(os.listdir(path), "member-*.quiver"):
-        raise ValueError(f"{path} already holds member-*.quiver files")
-
-
-def write_class_dir(mc: MutationClass, path) -> None:
-    """One quiver file per member, numbered in canonical key order.
-
-    Raises ValueError, writing nothing, when ``path`` already holds member
-    files: a dump over another class's would mix the two.
-    """
-    os.makedirs(path, exist_ok=True)
-    _refuse_member_files(path)
-    for idx, key in enumerate(mc.keys()):
-        header = f"key {key.hex()}\ndepth {mc.depths[key]}"
-        write_quiver(
-            mc.members[key],
-            os.path.join(path, f"member-{idx:05d}.quiver"),
-            header=header,
-        )

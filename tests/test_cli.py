@@ -7,11 +7,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import quivercount
 from quivercount import cli, verify
+from quivercount.canonical import canonical_key
 from quivercount.cli import (
     COUNT_WEIGHT_MAX,
     DEGREE_MAX,
@@ -19,7 +21,7 @@ from quivercount.cli import (
     TABLE_N_MAX,
     run,
 )
-from quivercount.mutation_class import seed_cycle
+from quivercount.mutation_class import enumerate_class, seed_cycle
 from quivercount.quiver import ExchangeQuiver, read_quiver, write_quiver
 
 
@@ -173,6 +175,79 @@ def test_enumerate_refuses_a_directory_with_members(capsys, monkeypatch, tmp_pat
         assert capsys.readouterr().err.startswith("error: ")
     assert not missing.parent.exists()
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
+def test_json_dump_is_sorted_and_complete(capsys, cycle_class, tmp_path):
+    mc = cycle_class(2, 2)
+    path = tmp_path / "class.json"
+    assert run(["enumerate", "--cycle", "2", "2", "--json", str(path)]) == 0
+    entries = json.loads(path.read_text())
+    assert [e["key"] for e in entries] == [k.hex() for k in mc.keys()]
+    assert {e["depth"] for e in entries} <= {0, 1, 2, 3}
+    assert min(e["depth"] for e in entries) == 0
+    assert entries == [
+        {"key": k.hex(), "matrix": [list(row) for row in q.b], "depth": mc.depths[k]}
+        for k, q in zip(mc.keys(), mc.representatives())
+    ]
+
+
+def test_class_dir_dump_roundtrips(capsys, cycle_class, tmp_path):
+    mc = cycle_class(1, 3)
+    out = tmp_path / "members"
+    assert run(["enumerate", "--cycle", "1", "3", "--out", str(out)]) == 0
+    files = sorted(out.iterdir())
+    assert len(files) == mc.size
+    keys = {canonical_key(read_quiver(f)) for f in files}
+    assert keys == set(mc.members)
+    before = [f.read_bytes() for f in files]
+    # a second dump would mix two classes' members
+    assert run(["enumerate", "--cycle", "2", "2", "--out", str(out)]) == 2
+    assert "member-" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == files
+    assert [f.read_bytes() for f in files] == before
+
+
+def test_enumerate_refuses_member_files_written_during_the_walk(
+    capsys, monkeypatch, tmp_path
+):
+    # the directory passes the check before the walk, but another process
+    # writes a member file into it while the walk runs
+    out_dir = tmp_path / "members"
+    planted = out_dir / "member-00000.quiver"
+    write_quiver(seed_cycle(1, 3), tmp_path / "other.quiver")
+    text = (tmp_path / "other.quiver").read_bytes()
+
+    def walk_while_another_dump_lands(seed, multiplicity_cap):
+        out_dir.mkdir()
+        planted.write_bytes(text)
+        return enumerate_class(seed, multiplicity_cap=multiplicity_cap)
+
+    monkeypatch.setattr(cli, "enumerate_class", walk_while_another_dump_lands)
+    assert run(["enumerate", "--cycle", "2", "2", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out_dir} already holds member-*.quiver files\n"
+    assert [f.name for f in out_dir.iterdir()] == [planted.name]
+    assert planted.read_bytes() == text
+
+
+def test_json_dump_memory_does_not_grow_with_the_class(
+    capsys, monkeypatch, tmp_path, cycle_class
+):
+    # the class is built first, so the trace sees only the dump: the 429
+    # members of Ã(1,7) took about 700 KB when the dump built every entry
+    # before writing, and take 64 to 135 KB (Python 3.10 to 3.13) written
+    # one at a time
+    mc = cycle_class(1, 7)
+    monkeypatch.setattr(cli, "enumerate_class", lambda seed, multiplicity_cap: mc)
+    args = ["enumerate", "--cycle", "1", "7", "--json", str(tmp_path / "class.json")]
+    assert run(args) == 0  # the first run imports what the dump uses
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 1024
 
 
 def test_enumerate_refuses_a_json_link_it_cannot_write_through(

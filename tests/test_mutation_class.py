@@ -6,24 +6,21 @@ import pytest
 
 import oracles
 from oracles import random_quiver, reference_enumerate, relabel
-from quivercount import mutation_class
+from quivercount import cli, mutation_class
 from quivercount.canonical import canonical_key
 from quivercount.counting import a_tilde
 from quivercount.mutation_class import (
     CapExceeded,
-    class_to_json,
     enumerate_class,
     seed_cycle,
     seed_dynkin_d,
-    write_class_dir,
-    write_class_json,
 )
 from quivercount.quiver import (
     ExchangeQuiver,
     max_multiplicity,
     mutate,
-    read_quiver,
     underlying_graph_connected,
+    write_quiver,
 )
 
 
@@ -211,7 +208,8 @@ def test_enumeration_matches_reference_bfs(seed):
     assert mc.representatives() == ref.representatives()
 
 
-# sha-256 of the class's JSON dump, then the walk's mutations (its
+# sha-256 of the class's JSON dump, as written by ``enumerate --json`` and
+# re-encoded with sorted keys, then the walk's mutations (its
 # _mutated_ids calls) and labelings (its _label_matrix calls); a change to the walk's
 # shortcuts that moves a count updates it here and says why.  The exact-
 # repeat lookup runs only when the mutated row at k is a stored row there;
@@ -251,7 +249,7 @@ PINNED_WALKS = {
         if p.id in PINNED_WALKS
     ],
 )
-def test_walk_output_and_call_counts_are_pinned(monkeypatch, seed, pin):
+def test_walk_output_and_call_counts_are_pinned(monkeypatch, tmp_path, seed, pin):
     calls = {"mutate": 0, "label": 0}
     mutated = mutation_class._mutated_ids
     labeling = mutation_class._label_matrix
@@ -266,7 +264,10 @@ def test_walk_output_and_call_counts_are_pinned(monkeypatch, seed, pin):
 
     monkeypatch.setattr(mutation_class, "_mutated_ids", counting_mutated)
     monkeypatch.setattr(mutation_class, "_label_matrix", counting_labeling)
-    dump = json.dumps(class_to_json(enumerate_class(seed)), sort_keys=True)
+    seed_file, dump_file = tmp_path / "seed.quiver", tmp_path / "class.json"
+    write_quiver(seed, seed_file)
+    assert cli.run(["enumerate", "--seed", str(seed_file), "--json", str(dump_file)]) == 0
+    dump = json.dumps(json.loads(dump_file.read_text()), sort_keys=True)
     digest = hashlib.sha256(dump.encode("ascii")).hexdigest()
     assert (digest, calls["mutate"], calls["label"]) == pin
 
@@ -347,27 +348,3 @@ def test_disconnected_seed_rejected():
     with pytest.raises(ValueError):
         enumerate_class(ExchangeQuiver.from_arrows(2, []))
 
-
-def test_json_dump_is_sorted_and_complete(cycle_class, tmp_path):
-    mc = cycle_class(2, 2)
-    entries = class_to_json(mc)
-    assert [e["key"] for e in entries] == [k.hex() for k in mc.keys()]
-    assert {e["depth"] for e in entries} <= {0, 1, 2, 3}
-    assert min(e["depth"] for e in entries) == 0
-    path = tmp_path / "class.json"
-    write_class_json(mc, path)
-    assert json.loads(path.read_text()) == entries
-
-
-def test_class_dir_dump_roundtrips(cycle_class, tmp_path):
-    mc = cycle_class(1, 3)
-    out = tmp_path / "members"
-    write_class_dir(mc, out)
-    files = sorted(out.iterdir())
-    assert len(files) == mc.size
-    keys = {canonical_key(read_quiver(f)) for f in files}
-    assert keys == set(mc.members)
-    # a second dump would mix two classes' members
-    with pytest.raises(ValueError, match="member-"):
-        write_class_dir(cycle_class(2, 2), out)
-    assert sorted(out.iterdir()) == files
